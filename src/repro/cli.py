@@ -166,7 +166,7 @@ def parse_scenario_argument(text: str):
 #: Kernel-backend specs accepted by ``--backend`` — kept in lockstep with
 #: :data:`repro.core.backends.BACKEND_CHOICES` (asserted by the CLI tests)
 #: without importing the backend registry at parser-build time.
-BACKEND_CHOICES = ("auto", "numpy", "cffi", "numba")
+BACKEND_CHOICES = ("auto", "numpy", "cffi")
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:

@@ -8,23 +8,25 @@ This package provides that layer:
 * ``numpy`` — the vectorized kernels in :mod:`repro.core.bitpack` /
   :mod:`repro.core.binary_conv`.  Always available, always correct; the
   reference every other backend is gated against.
-* ``cffi`` — a single C translation unit (``_kernels.c``: xor-popcount
-  GEMM, fused-threshold-accumulate-and-pack, packed patch extraction)
-  compiled at first use with the host toolchain and cached per host
-  (:mod:`repro.core.backends.cffi_backend`).  OpenMP-free: parallelism
-  stays in the plan's shared thread pool, and cffi releases the GIL for
-  the duration of each call.
-* ``numba`` — the same three kernels as ``@njit(nogil=True)`` functions
-  when Numba is installed (:mod:`repro.core.backends.numba_backend`).
+* ``cffi`` — a single C translation unit (``_kernels.c``: the blocked
+  xor-popcount micro-kernel behind the fused threshold-and-pack and the
+  plain GEMM, the exact-integer input convolution, packed patch
+  extraction and packed max-pool; AVX-512 / AVX2 / scalar bodies chosen
+  at run time) compiled at first use with the host toolchain and cached
+  per host (:mod:`repro.core.backends.cffi_backend`).  OpenMP-free:
+  parallelism stays in the plan's shared thread pool, and cffi releases
+  the GIL for the duration of each call.
 
 **Selection is gated by the bit-exactness spine.**  A backend is attached
 per plan step at warm time (``Network.warm`` / ``ModelPool`` /
-``PhoneBitEngine``): before a step adopts a compiled kernel, the kernel is
-probed against the NumPy reference on that step's *actual* packed filters
-and thresholds, and on synthetic packed inputs covering its geometry.  Any
-mismatch — or any build/import failure — silently falls the step back to
-the NumPy path, so a missing compiler can never change results, only
-speed.  ``ExecutionPlan.backend_report()`` says what each step runs on.
+``PhoneBitEngine``): before a step adopts a compiled kernel, the step is
+run both ways on a synthetic input covering its geometry — on that step's
+*actual* packed filters and thresholds — and the compiled result must
+equal the reference (the NumPy path; the layer interpreter for the input
+convolution and pools) bit for bit.  Any mismatch — or any
+build/import failure — silently falls the step back to the NumPy path, so
+a missing compiler can never change results, only speed.
+``ExecutionPlan.backend_report()`` says what each step runs on.
 
 ``REPRO_BACKEND`` sets the process-default spec (``auto`` when unset);
 ``REPRO_NO_CC=1`` masks the host toolchain, which is how CI proves the
@@ -43,10 +45,7 @@ from repro.core import binary_conv, bitpack
 #: Backend spec names accepted everywhere a backend can be chosen
 #: (engine, CLI ``--backend``, worker config).  ``auto`` resolves to the
 #: fastest available compiled backend, falling back to ``numpy``.
-BACKEND_CHOICES = ("auto", "numpy", "cffi", "numba")
-
-#: Preference order ``auto`` resolves through.
-_AUTO_ORDER = ("cffi", "numba")
+BACKEND_CHOICES = ("auto", "numpy", "cffi")
 
 
 class BackendUnavailable(RuntimeError):
@@ -64,19 +63,6 @@ _CACHE: Dict[str, object] = {}
 _FAILURES: Dict[str, str] = {}
 
 
-def _load_backend(name: str):
-    """Build/import one compiled backend (uncached); raises on failure."""
-    if name == "cffi":
-        from repro.core.backends import cffi_backend
-
-        return cffi_backend.load()
-    if name == "numba":
-        from repro.core.backends import numba_backend
-
-        return numba_backend.load()
-    raise BackendUnavailable(f"unknown compiled backend {name!r}")
-
-
 def get_backend(name: str):
     """Compiled backend object for ``name``, or ``None`` for ``"numpy"``.
 
@@ -90,16 +76,16 @@ def get_backend(name: str):
     """
     if name == "numpy":
         return None
-    if name not in BACKEND_CHOICES:
-        raise BackendUnavailable(
-            f"unknown backend {name!r}; expected one of {BACKEND_CHOICES}"
-        )
+    if name != "cffi":
+        raise BackendUnavailable(f"unknown compiled backend {name!r}")
     if name in _CACHE:
         return _CACHE[name]
     if name in _FAILURES:
         raise BackendUnavailable(_FAILURES[name])
     try:
-        impl = _load_backend(name)
+        from repro.core.backends import cffi_backend
+
+        impl = cffi_backend.load()
         _self_test(impl)
     except BackendUnavailable as exc:
         _FAILURES[name] = str(exc)
@@ -115,21 +101,19 @@ def get_backend(name: str):
 def availability() -> Dict[str, Optional[str]]:
     """Mapping of backend name to ``None`` (usable) or a reason string."""
     report: Dict[str, Optional[str]] = {"numpy": None}
-    for name in ("cffi", "numba"):
-        try:
-            get_backend(name)
-            report[name] = None
-        except BackendUnavailable as exc:
-            report[name] = str(exc)
+    try:
+        get_backend("cffi")
+        report["cffi"] = None
+    except BackendUnavailable as exc:
+        report["cffi"] = str(exc)
     return report
 
 
 def resolve_backend(spec: Optional[str]) -> Tuple[str, Optional[object]]:
     """Resolve a spec to ``(name, impl)``; ``impl`` is None for numpy.
 
-    ``auto`` (or ``None``) picks the first usable compiled backend in
-    preference order and degrades to ``numpy`` when none builds — it
-    never raises.  A concrete compiled name raises
+    ``auto`` (or ``None``) picks the compiled backend and degrades to
+    ``numpy`` when it does not build — it never raises.  A concrete compiled name raises
     :class:`BackendUnavailable` if that backend cannot be used, so an
     explicit request is never silently substituted.
     """
@@ -139,12 +123,10 @@ def resolve_backend(spec: Optional[str]) -> Tuple[str, Optional[object]]:
             f"unknown backend {spec!r}; expected one of {BACKEND_CHOICES}"
         )
     if spec == "auto":
-        for name in _AUTO_ORDER:
-            try:
-                return name, get_backend(name)
-            except BackendUnavailable:
-                continue
-        return "numpy", None
+        try:
+            return "cffi", get_backend("cffi")
+        except BackendUnavailable:
+            return "numpy", None
     return spec, get_backend(spec)
 
 
@@ -201,86 +183,41 @@ def _self_test(impl) -> None:
 
 
 def verify_fused_step(impl, step, rng=None) -> bool:
-    """Bit-exactness probe of one fused plan step against NumPy.
+    """Bit-exactness probe of one lowered plan step (see ``step.verify``).
 
-    Runs the compiled fused kernel on synthetic packed inputs against the
-    step's *actual* packed filters, accumulator thresholds and flips —
-    split across two row ranges so the tiling offsets are exercised — and,
-    for convolution steps, the compiled patch gather against
-    :func:`repro.core.binary_conv.packed_patch_matrix` on the step's
-    geometry.  Returns True only on a bit-for-bit match.
+    The step runs a synthetic input over its own geometry through
+    ``impl``'s kernels — on its *actual* filters, thresholds and flips, in
+    several row tiles — and through its reference (the NumPy path; the
+    layer interpreter for the input convolution and pools).
+    Returns True only on a bit-for-bit match.
     """
     rng = np.random.default_rng(33) if rng is None else rng
-    filters = getattr(step, "flat_filters", None)
-    if filters is None:
-        filters = step.weights_packed
-    filters = np.ascontiguousarray(filters.reshape(filters.shape[0], -1))
-    cols, n_words = filters.shape
-    rows = 9
-    a = _random_words(rng, (rows, n_words), filters.dtype)
-    wc_out = bitpack.words_per_channel(cols, step.out_word_size)
-    out_dtype = bitpack.word_dtype(step.out_word_size)
-    out_np = np.zeros((rows, wc_out), dtype=out_dtype)
-    out_c = np.zeros((rows, wc_out), dtype=out_dtype)
-    for r0, r1 in ((0, 4), (4, rows)):
-        bitpack.fused_xor_threshold_rows(
-            a, filters, step.acc_threshold, step.flip, out_np, r0, r1,
-            step.out_word_size,
-        )
-        impl.fused_xor_threshold_rows(
-            a, filters, step.acc_threshold, step.flip, out_c, r0, r1,
-            step.out_word_size,
-        )
-    if not np.array_equal(out_np, out_c):
-        return False
-    layer = getattr(step, "layer", None)
-    kernel_size = getattr(layer, "kernel_size", None)
-    if kernel_size is not None and not getattr(step, "is_input_conv", False):
-        k, stride, padding = kernel_size, layer.stride, layer.padding
-        if not (k == 1 and padding == 0 and stride == 1):
-            wc_in = bitpack.words_per_channel(layer.in_channels, layer.word_size)
-            h = w = max(k + stride + padding, k + 1)
-            packed = _random_words(
-                rng, (2, h, w, wc_in), bitpack.word_dtype(layer.word_size)
-            )
-            expected, oh, ow = binary_conv.packed_patch_matrix(
-                packed, k, stride, padding
-            )
-            expected = np.ascontiguousarray(expected)
-            got = np.empty_like(expected)
-            impl.packed_patch_rows(packed, k, stride, padding, oh, ow,
-                                   got, 0, got.shape[0])
-            if not np.array_equal(expected, got):
-                return False
-    return True
+    return step.verify(impl, rng) is not None
 
 
 def select_for_plan(plan, spec: Optional[str] = None) -> Dict[str, str]:
-    """Attach a backend to every fused step of ``plan`` (idempotent).
+    """Attach a backend to every lowered step of ``plan`` (idempotent).
 
-    Each eligible step is probed with :func:`verify_fused_step`; steps
-    that fail the probe — and steps with no compiled lowering, like the
-    exact-GEMM input convolution — keep the NumPy path.  Returns the
-    per-step selection report (also stored as ``plan.backend_selection``).
+    Each lowered step is probed (:func:`verify_fused_step`) and adopts the
+    backend only on a bit-for-bit match; steps that fail the probe, steps
+    the backend has no kernel for, and layer fallbacks keep the NumPy
+    path.  Returns the per-step selection report (also stored as
+    ``plan.backend_selection``).
     """
     name, impl = resolve_backend(spec)
+    rng = np.random.default_rng(33)
     report: Dict[str, str] = {}
     for index, step in enumerate(plan.steps):
-        key = f"[{index}] {step.describe}"
-        if not getattr(step, "fused", False) or getattr(step, "is_input_conv", False):
-            step_backend = "numpy"
-        elif impl is None:
-            step_backend = "numpy"
-            step.compiled = None
-        elif getattr(step, "compiled", None) is impl:
-            step_backend = name  # already selected and verified
-        elif verify_fused_step(impl, step):
-            step.compiled = impl
-            step_backend = name
-        else:
-            step.compiled = None
-            step_backend = "numpy"
-        report[key] = step_backend
+        adopted = False
+        if getattr(step, "fused", False):
+            if impl is None:
+                step.adopt(None)
+            elif step.compiled is not impl:  # else: selected and verified
+                operands = step.verify(impl, rng)
+                step.adopt(None if operands is None else impl, operands)
+            adopted = step.compiled is not None
+        report[f"[{index}] {step.describe}"] = name if adopted else "numpy"
     plan.backend_spec = name
+    plan.backend_isa = getattr(impl, "isa", None)
     plan.backend_selection = report
     return report

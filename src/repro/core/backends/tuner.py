@@ -336,9 +336,7 @@ def tune_network(
         run_cost = None
 
     uses_numpy_fused = any(
-        getattr(step, "fused", False)
-        and not getattr(step, "is_input_conv", False)
-        and getattr(step, "compiled", None) is None
+        hasattr(step, "acc_threshold") and step.compiled is None
         for step in plan.steps
     )
 

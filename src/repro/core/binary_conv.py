@@ -32,6 +32,11 @@ from repro.core.binarize import bitplane_weights, split_bitplanes
 from repro.core.tensor import conv_output_size, pad_spatial_nhwc
 
 
+#: Byte budget for one bit-plane's temporaries in
+#: :func:`input_conv2d_bitplanes` (patch matrix + int64 GEMM result).
+_PLANE_CHUNK_BYTES = 4 << 20
+
+
 def im2col_nhwc(
     x: np.ndarray,
     kernel_size: int,
@@ -310,26 +315,46 @@ def input_conv2d_bitplanes(
     weights = bitplane_weights(input_bits)
     cout = weights_packed.shape[0]
     flat_filters = weights_packed.reshape(cout, -1)
-    out = None
-    for plane_index in range(input_bits):
-        plane_packed = pack_activations(planes[plane_index], word_size=word_size)
-        patches, oh, ow = packed_patch_matrix(
-            plane_packed, kernel_size, stride, padding
-        )
-        n = plane_packed.shape[0]
-        if flat_filters.shape[1] != patches.shape[1]:
-            raise ValueError("activation and filter packing widths do not match")
-        overlap = bitpack.and_popcount_gemm(patches, flat_filters)
-        # x · w = 2·popc(x & w) − popc(x); popc(x) is shared by all filters,
-        # so compute it once per patch row instead of once per filter block.
-        ones = bitpack.popcount_words(patches).sum(axis=-1, dtype=np.int64)
-        np.multiply(overlap, 2, out=overlap)
-        overlap -= ones[:, None]
-        contribution = overlap.reshape(n, oh, ow, cout)
-        if out is None:
-            out = contribution * int(weights[plane_index])
-        else:
-            out += contribution * int(weights[plane_index])
+    n, h, w = image.shape[:3]
+    oh = conv_output_size(h, kernel_size, stride, padding)
+    ow = conv_output_size(w, kernel_size, stride, padding)
+    out = np.empty((n, oh, ow, cout), dtype=np.int64)
+    # Images go through in chunks sized so one plane's temporaries (patch
+    # matrix + int64 GEMM result) fit a fixed byte budget, and the weighted
+    # plane sum accumulates in place in ``out``: the peak above the result
+    # itself does not grow with the batch.
+    per_image = oh * ow * (
+        cout * 8 + flat_filters.shape[1] * flat_filters.dtype.itemsize
+    )
+    chunk = max(1, min(n, _PLANE_CHUNK_BYTES // max(1, per_image)))
+    scratch = np.empty((chunk * oh * ow, cout), dtype=np.int64)
+    for start in range(0, n, chunk):
+        acc = out[start:start + chunk].reshape(-1, cout)
+        for plane_index in range(input_bits):
+            plane_packed = pack_activations(
+                planes[plane_index, start:start + chunk], word_size=word_size
+            )
+            patches, _, _ = packed_patch_matrix(
+                plane_packed, kernel_size, stride, padding
+            )
+            if flat_filters.shape[1] != patches.shape[1]:
+                raise ValueError(
+                    "activation and filter packing widths do not match"
+                )
+            overlap = bitpack.and_popcount_gemm(
+                patches, flat_filters, out=scratch[:patches.shape[0]]
+            )
+            # x · w = 2·popc(x & w) − popc(x); popc(x) is shared by all
+            # filters, so compute it once per patch row instead of once
+            # per filter block.
+            ones = bitpack.popcount_words(patches).sum(axis=-1, dtype=np.int64)
+            np.multiply(overlap, 2, out=overlap)
+            overlap -= ones[:, None]
+            if plane_index == 0:
+                np.multiply(overlap, int(weights[0]), out=acc)
+            else:
+                np.multiply(overlap, int(weights[plane_index]), out=overlap)
+                acc += overlap
     return out
 
 

@@ -199,7 +199,7 @@ class PhoneBitEngine:
         """Per-step backend selection for ``network`` under current settings."""
         plan = self._plan_for(network)
         if plan is None:
-            return {"spec": "numpy", "backend": "numpy", "steps": {}}
+            return {"spec": "numpy", "backend": "numpy", "isa": None, "steps": {}}
         return plan.backend_report()
 
     def auto_chunk_size(

@@ -14,7 +14,9 @@ An :class:`ExecutionPlan` compiles the network once instead:
   xor-popcount layers, folded into the *accumulator* domain: the kernel
   tests the raw disagreement count and emits packed bits directly, so
   neither the ±1 pre-activation ``x1`` nor any unpacked/float intermediate
-  is ever materialized between binary blocks.
+  is ever materialized between binary blocks.  On a packed stream
+  ``MaxPool2d`` (bitwise OR of packed words) is lowered too; its NumPy
+  path is the layer's own ``forward``.
 * **Arena memory planning** — activations in a sequential chain die as soon
   as the next step has consumed them, so fused outputs ping-pong between
   two arena slots and all patch gathers share one scratch slot.  Arenas are
@@ -37,6 +39,7 @@ to ``Network.forward`` by construction (enforced by tests and the
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -54,6 +57,7 @@ from repro.core.layers import (
     BinaryConv2d,
     BinaryDense,
     InputConv2d,
+    MaxPool2d,
 )
 from repro.core.tensor import Layout, Tensor, conv_output_size
 
@@ -64,6 +68,17 @@ _ROW_TILE = 512
 #: Lower bound on tile rows when splitting for the thread pool — below this
 #: the per-task dispatch overhead beats the parallelism.
 _MIN_ROW_TILE = 64
+
+#: Lower bound on the work of one *compiled* tile, in byte-pair operations
+#: (rows × filters × row bytes).  Derived from two measurements on the
+#: 2-vCPU sandbox: one ``pool.map`` hand-off costs 30–40 µs at the median
+#: (70+ µs at p99, when the worker has to be woken) plus ~10 µs per extra
+#: tile, and the AVX-512 kernels retire ~100 k byte-pairs per µs.  A tile
+#: is worth a hand-off only when it carries several times that cost —
+#: 2^24 byte-pairs ≈ 170 µs of kernel time — so a step under two such
+#: tiles runs inline on the calling thread.  At batch 1 that is every step
+#: of the three paper networks (the largest is 18.9 M byte-pairs).
+_MIN_TILE_WORK = 1 << 24
 
 
 def positive_int(value, name: str) -> int:
@@ -128,12 +143,15 @@ if hasattr(os, "register_at_fork"):  # POSIX only; spawn contexts start clean
     os.register_at_fork(after_in_child=_reset_pools_after_fork)
 
 
-def _row_tiles(rows: int, threads: int,
-               row_tile: Optional[int] = None) -> List[Tuple[int, int]]:
+def _row_tiles(rows: int, threads: int, row_tile: Optional[int] = None,
+               row_work: Optional[int] = None) -> List[Tuple[int, int]]:
     """Split ``rows`` into contiguous tile ranges for (threaded) execution.
 
     ``row_tile`` overrides the built-in upper bound — the knob the
     auto-tuner (:mod:`repro.core.backends.tuner`) searches per host.
+    ``row_work`` is the cost of one row on a compiled kernel (byte-pair
+    operations); when given, and no explicit ``row_tile`` says otherwise,
+    tiles are widened until each carries :data:`_MIN_TILE_WORK`.
     """
     tile = _ROW_TILE if row_tile is None else positive_int(row_tile, "row_tile")
     if threads > 1:
@@ -141,6 +159,11 @@ def _row_tiles(rows: int, threads: int,
         # without shrinking tiles below the dispatch-overhead floor.
         balanced = -(-rows // (threads * 4))
         tile = min(tile, max(_MIN_ROW_TILE, balanced))
+    if row_tile is None and row_work:
+        # No more tiles than can each carry the floor; fewer than two
+        # means one tile, which run_tiles executes inline.
+        affordable = max(1, rows * row_work // _MIN_TILE_WORK)
+        tile = max(tile, -(-rows // affordable))
     return [(r0, min(r0 + tile, rows)) for r0 in range(0, rows, tile)]
 
 
@@ -159,7 +182,7 @@ class BufferArena:
 
     def view(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         buf = self._buffers.get(name)
         if buf is None or buf.nbytes < nbytes:
             buf = np.empty(max(nbytes, 1), dtype=np.uint8)
@@ -196,9 +219,15 @@ class _ExecContext:
         self.row_tile = row_tile
         self.col_tile = col_tile
 
-    def run_tiles(self, rows: int, work: Callable[[int, int], None]) -> None:
-        """Run ``work(r0, r1)`` over row tiles, fanned out when possible."""
-        tiles = _row_tiles(rows, self.threads, self.row_tile)
+    def run_tiles(self, rows: int, work: Callable[[int, int], None],
+                  row_work: Optional[int] = None) -> None:
+        """Run ``work(r0, r1)`` over row tiles, fanned out when possible.
+
+        Steps running a compiled kernel pass ``row_work`` so a step too
+        small to pay for a pool dispatch runs inline (see
+        :data:`_MIN_TILE_WORK`).
+        """
+        tiles = _row_tiles(rows, self.threads, self.row_tile, row_work)
         if self.pool is None or len(tiles) <= 1:
             for r0, r1 in tiles:
                 work(r0, r1)
@@ -225,28 +254,143 @@ class LayerStep:
         return self.layer.forward(x)
 
 
-class _FusedStepBase:
-    """Shared bookkeeping for the fused packed steps."""
+class _LoweredStep:
+    """A plan step with its own lowering (anything but a layer fallback).
+
+    A lowered step always has a NumPy path (``compiled is None``) and may
+    *adopt* a compiled backend: :func:`repro.core.backends.select_for_plan`
+    attaches one only after :meth:`verify` showed the backend's kernels
+    reproduce the step's reference bit for bit on a probe input.
+    """
 
     fused = True
+
+    def __init__(self, layer, layer_start: int, layer_stop: int) -> None:
+        self.layer = layer
+        self.layer_start = layer_start
+        self.layer_stop = layer_stop
+        #: ``(backend, operands)``: the adopted compiled backend (``None``
+        #: runs the NumPy path) and what it prepared for this step at
+        #: adoption (interleaved filters, …).  One attribute, so a run that
+        #: races a backend switch sees a matching pair.
+        self.lowering = (None, None)
+
+    @property
+    def compiled(self):
+        return self.lowering[0]
+
+    def adopt(self, impl, operands=None) -> None:
+        """Switch the step to ``impl`` (``None``: back to NumPy)."""
+        self.lowering = (impl, operands)
+
+    def run(self, x: Tensor, ctx: _ExecContext) -> Tensor:
+        compiled, operands = self.lowering
+        return self.execute(x, ctx, compiled, operands)
+
+    def reference(self, x: Tensor) -> np.ndarray:
+        """What the probe must reproduce: by default the step's NumPy path."""
+        ctx = _ExecContext(BufferArena(), None, 1)
+        return self.execute(x, ctx, None, None).data
+
+    def verify(self, impl, rng: np.random.Generator):
+        """Operands ``impl`` prepared for this step, or ``None`` on any mismatch.
+
+        Runs the step on a small synthetic input — on the step's real
+        filters and thresholds, over its real geometry (padding borders,
+        image offsets), in 5-row tiles so tile offsets and both the
+        4-row block and the single-row tail of the kernels are exercised
+        — and compares with :meth:`reference`.
+        """
+        operands = self.lower(impl)
+        if operands is None:
+            return None
+        x = self.probe_input(rng)
+        expected = self.reference(x)
+        ctx = _ExecContext(BufferArena(), None, 1, row_tile=5)
+        got = self.execute(x, ctx, impl, operands).data
+        if (got.shape != expected.shape or got.dtype != expected.dtype
+                or not np.array_equal(got, expected)):
+            return None
+        return operands
+
+
+def _probe_extent(kernel_size: int, stride: int, padding: int) -> int:
+    """Probe image side: three output positions, one fully interior."""
+    return max(kernel_size, kernel_size + 2 * stride - 2 * padding)
+
+
+def _random_packed(rng, shape, word_size: int) -> np.ndarray:
+    dtype = np.dtype(bitpack.word_dtype(word_size))
+    return rng.integers(0, 2 ** (8 * dtype.itemsize), size=shape, dtype=dtype)
+
+
+def _packed_conv_input(layer, x: Tensor) -> np.ndarray:
+    """The packed activations a binary convolution consumes (validated)."""
+    if x.packed:
+        packed = x.data
+        true_channels = x.true_channels
+    else:
+        bits = binarize_sign(x.data)
+        packed = binary_conv.pack_activations(bits, word_size=layer.word_size)
+        true_channels = int(x.data.shape[-1])
+    if true_channels != layer.in_channels:
+        raise ValueError(
+            f"{layer.name}: expected {layer.in_channels} input channels, "
+            f"got {true_channels}"
+        )
+    return packed
+
+
+def _conv_patches(layer, packed: np.ndarray, ctx: _ExecContext, compiled):
+    """Patch matrix of a packed convolution input: ``(patches, gather, oh, ow)``.
+
+    ``gather(r0, r1)`` — when not ``None`` — must run before rows
+    ``[r0, r1)`` of ``patches`` are read: with a compiled backend the
+    gather is folded into the row tiles, so it is threaded too and its
+    output stays cache-hot for the GEMM that consumes it.
+    """
+    n, h, w, wc_in = packed.shape
+    k = layer.kernel_size
+    oh = conv_output_size(h, k, layer.stride, layer.padding)
+    ow = conv_output_size(w, k, layer.stride, layer.padding)
+    rows = n * oh * ow
+    gather = None
+    if k == 1 and layer.padding == 0 and layer.stride == 1:
+        # Zero-copy reshape, no gather buffer needed.
+        patches, _, _ = binary_conv.packed_patch_matrix(
+            packed, k, layer.stride, layer.padding
+        )
+        if compiled is not None:
+            patches = np.ascontiguousarray(patches)
+    elif compiled is not None:
+        packed = np.ascontiguousarray(packed)
+        patches = ctx.arena.view("patch", (rows, k * k * wc_in), packed.dtype)
+
+        def gather(r0, r1):
+            compiled.packed_patch_rows(
+                packed, k, layer.stride, layer.padding, oh, ow, patches, r0, r1,
+            )
+    else:
+        patch_out = ctx.arena.view("patch", (rows, k * k * wc_in), packed.dtype)
+        patches, _, _ = binary_conv.packed_patch_matrix(
+            packed, k, layer.stride, layer.padding, out=patch_out
+        )
+    return patches, gather, oh, ow
+
+
+class _FusedStepBase(_LoweredStep):
+    """Shared bookkeeping for the fused threshold → packed-bits steps."""
 
     def __init__(self, layer, layer_start: int, layer_stop: int,
                  threshold: np.ndarray, flip: np.ndarray,
                  out_word_size: int, out_slot: str) -> None:
-        self.layer = layer
-        self.layer_start = layer_start
-        self.layer_stop = layer_stop
+        super().__init__(layer, layer_start, layer_stop)
         #: Integer x1-domain decision boundary: bit = (x1 >= threshold) ^ flip.
         self.threshold = threshold
         self.flip = flip
         self.out_word_size = out_word_size
         self.out_slot = out_slot
         self.weights_packed = layer.weights_packed  # compile-time snapshot
-        #: Compiled kernel backend attached by
-        #: :func:`repro.core.backends.select_for_plan` after the step's
-        #: kernels were verified bit-exact against NumPy; ``None`` runs the
-        #: NumPy reference path.
-        self.compiled = None
 
 
 class FusedConvStep(_FusedStepBase):
@@ -259,13 +403,14 @@ class FusedConvStep(_FusedStepBase):
                          out_word_size, out_slot)
         self.is_input_conv = isinstance(layer, InputConv2d)
         if self.is_input_conv:
-            # The plan lowers the first layer to an exact float64 GEMM: the
-            # 8-bit integer convolution's every intermediate is an integer
-            # far below 2^53, so BLAS dgemm reproduces the bit-plane
-            # accumulation of Eqn. (2) bit-exactly while running orders of
-            # magnitude faster on CPU (the bit-plane kernels model the
-            # paper's GPU popcount path and survive as the layerwise
-            # reference the tests compare against).
+            # The NumPy path lowers the first layer to an exact float64
+            # GEMM: the 8-bit integer convolution's every intermediate is
+            # an integer far below 2^53, so BLAS dgemm reproduces the
+            # bit-plane accumulation of Eqn. (2) bit-exactly while running
+            # orders of magnitude faster on CPU (the bit-plane kernels
+            # model the paper's GPU popcount path and survive as the
+            # layerwise reference).  A compiled backend computes the same
+            # integers in int32 straight from the uint8 image.
             self.float_weights = np.ascontiguousarray(
                 (2.0 * layer.weight_bits.astype(np.float64) - 1.0).reshape(
                     -1, layer.out_channels
@@ -286,7 +431,7 @@ class FusedConvStep(_FusedStepBase):
     @property
     def describe(self) -> str:
         layer = self.layer
-        kind = "input-conv(exact-gemm)" if self.is_input_conv else "conv(xor-popcount)"
+        kind = "input-conv(exact-int)" if self.is_input_conv else "conv(xor-popcount)"
         span = self.layer_stop - self.layer_start
         folded = "" if span == 1 else f" [folds {span} layers]"
         return (
@@ -295,80 +440,75 @@ class FusedConvStep(_FusedStepBase):
             f"w{self.out_word_size} packed out{folded}"
         )
 
-    def run(self, x: Tensor, ctx: _ExecContext) -> Tensor:
+    # ------------------------------------------------------------ lowering
+    def lower(self, impl):
+        if self.is_input_conv:
+            return impl.prepare_input_conv(
+                self.weights_packed, self.layer.in_channels,
+                self.threshold, self.flip,
+            )
+        return impl.prepare_filters(self.flat_filters)
+
+    def probe_input(self, rng) -> Tensor:
+        layer = self.layer
+        side = _probe_extent(layer.kernel_size, layer.stride, layer.padding)
+        if not self.is_input_conv:
+            wc_in = bitpack.words_per_channel(layer.in_channels, layer.word_size)
+            return Tensor(
+                _random_packed(rng, (2, side, side, wc_in), layer.word_size),
+                Layout.NHWC, packed=True, true_channels=layer.in_channels,
+            )
+        image = rng.integers(
+            0, 1 << min(layer.input_bits, 8),
+            size=(2, side, side, layer.in_channels), dtype=np.uint8,
+        )
+        return Tensor(image, Layout.NHWC)
+
+    def reference(self, x: Tensor) -> np.ndarray:
+        if self.is_input_conv and self.layer_stop - self.layer_start == 1:
+            # The bit-plane interpreter (Eqn. 2) itself; a folded
+            # conv → BN → Binarize block has no single-layer reference and
+            # is probed against the exact-GEMM NumPy path instead.
+            return self.layer.forward(x).data
+        return super().reference(x)
+
+    # ----------------------------------------------------------- execution
+    def execute(self, x: Tensor, ctx: _ExecContext, compiled, operands) -> Tensor:
         layer = self.layer
         if self.is_input_conv:
-            return self._run_input_conv(x, ctx)
-        if x.packed:
-            packed = x.data
-            true_channels = x.true_channels
-        else:
-            bits = binarize_sign(x.data)
-            packed = binary_conv.pack_activations(bits, word_size=layer.word_size)
-            true_channels = int(x.data.shape[-1])
-        if true_channels != layer.in_channels:
-            raise ValueError(
-                f"{layer.name}: expected {layer.in_channels} input channels, "
-                f"got {true_channels}"
-            )
-        n, h, w, wc_in = packed.shape
-        k = layer.kernel_size
-        oh = conv_output_size(h, k, layer.stride, layer.padding)
-        ow = conv_output_size(w, k, layer.stride, layer.padding)
-        rows = n * oh * ow
-        compiled = self.compiled
-        gather = None
-        if k == 1 and layer.padding == 0 and layer.stride == 1:
-            # Zero-copy reshape, no gather buffer needed.
-            patches, _, _ = binary_conv.packed_patch_matrix(
-                packed, k, layer.stride, layer.padding
-            )
-            if compiled is not None:
-                patches = np.ascontiguousarray(patches)
-        elif compiled is not None:
-            # Fold the patch gather into the row tiles: each tile gathers
-            # its own patch rows with the compiled im2col kernel right
-            # before consuming them, so the gather is threaded too and its
-            # output stays cache-hot for the fused GEMM.
-            packed = np.ascontiguousarray(packed)
-            patches = ctx.arena.view("patch", (rows, k * k * wc_in), packed.dtype)
-
-            def gather(r0, r1, _packed=packed, _patches=patches):
-                compiled.packed_patch_rows(
-                    _packed, k, layer.stride, layer.padding, oh, ow,
-                    _patches, r0, r1,
-                )
-        else:
-            patch_out = ctx.arena.view("patch", (rows, k * k * wc_in), packed.dtype)
-            patches, _, _ = binary_conv.packed_patch_matrix(
-                packed, k, layer.stride, layer.padding, out=patch_out
-            )
+            return self._input_conv(x, ctx, compiled, operands)
+        packed = _packed_conv_input(layer, x)
+        patches, gather, oh, ow = _conv_patches(layer, packed, ctx, compiled)
         if patches.shape[1] != self.flat_filters.shape[1]:
             raise ValueError("activation and filter packing widths do not match")
+        rows = patches.shape[0]
         wc_out = bitpack.words_per_channel(layer.out_channels, self.out_word_size)
         out = ctx.arena.view(
             self.out_slot, (rows, wc_out), bitpack.word_dtype(self.out_word_size)
         )
-        fused_rows = (
-            bitpack.fused_xor_threshold_rows if compiled is None
-            else compiled.fused_xor_threshold_rows
-        )
+        if compiled is None:
+            fused_rows, filters, row_work = (
+                bitpack.fused_xor_threshold_rows, self.flat_filters, None)
+        else:
+            fused_rows, filters, row_work = (
+                compiled.fused_xor_threshold_rows, operands,
+                layer.out_channels * operands.n_bytes)
 
         def work(r0: int, r1: int) -> None:
             if gather is not None:
                 gather(r0, r1)
             fused_rows(
-                patches, self.flat_filters, self.acc_threshold, self.flip,
+                patches, filters, self.acc_threshold, self.flip,
                 out, r0, r1, self.out_word_size, col_tile=ctx.col_tile,
             )
 
-        ctx.run_tiles(rows, work)
+        ctx.run_tiles(rows, work, row_work)
         return Tensor(
-            out.reshape(n, oh, ow, wc_out), Layout.NHWC,
+            out.reshape(packed.shape[0], oh, ow, wc_out), Layout.NHWC,
             packed=True, true_channels=layer.out_channels,
         )
 
-    def _run_input_conv(self, x: Tensor, ctx: _ExecContext) -> Tensor:
+    def _input_conv(self, x: Tensor, ctx: _ExecContext, compiled, operands) -> Tensor:
         layer = self.layer
         if x.packed:
             raise ValueError(f"{layer.name}: expected an unpacked integer image")
@@ -378,11 +518,12 @@ class FusedConvStep(_FusedStepBase):
                 f"{layer.name}: expected an integer image, got {image.dtype}"
             )
         # Same range validation the bit-plane path applies in
-        # ``split_bitplanes``: the exact GEMM would happily convolve
+        # ``split_bitplanes``: the exact convolution would happily take
         # out-of-range values, but the compiled thresholds were only
         # bisected over the ``input_bits`` range — and the interpreter
-        # raises, so the plan must too.
-        if image.size:
+        # raises, so the plan must too.  (A uint8 image cannot leave the
+        # range of an 8-bit layer; skip the two reductions then.)
+        if image.size and not (image.dtype == np.uint8 and layer.input_bits >= 8):
             if image.dtype.kind == "i" and image.min() < 0:
                 raise ValueError("bit-plane splitting requires non-negative values")
             if image.max() >= (1 << layer.input_bits):
@@ -396,26 +537,38 @@ class FusedConvStep(_FusedStepBase):
         rows = n * oh * ow
         cout = layer.out_channels
         volume = k * k * layer.in_channels
-        # Gather integer patches straight into a float64 arena buffer (the
-        # copyto casts), multiply by the ±1 filter matrix with one dgemm —
-        # exact, see __init__ — then threshold + pack the float x1 rows.
-        patches = ctx.arena.view("patch", (rows, volume), np.float64)
-        binary_conv.gather_patches_nhwc(
-            image, k, layer.stride, layer.padding, out=patches
-        )
-        x1 = ctx.arena.view("x1", (rows, cout), np.float64)
-        np.matmul(patches, self.float_weights, out=x1)
         wc_out = bitpack.words_per_channel(cout, self.out_word_size)
         out = ctx.arena.view(
             self.out_slot, (rows, wc_out), bitpack.word_dtype(self.out_word_size)
         )
-        ctx.run_tiles(
-            rows,
-            lambda r0, r1: bitpack.threshold_pack_rows(
-                x1, self.threshold, self.flip, out, r0, r1,
-                self.out_word_size,
-            ),
-        )
+        if compiled is not None and image.dtype == np.uint8:
+            image = np.ascontiguousarray(image)
+            ctx.run_tiles(
+                rows,
+                lambda r0, r1: compiled.input_conv_threshold_rows(
+                    image, operands, k, layer.stride, layer.padding, oh, ow,
+                    out, r0, r1,
+                ),
+                cout * volume,
+            )
+        else:
+            # Gather integer patches straight into a float64 arena buffer
+            # (the copyto casts), multiply by the ±1 filter matrix with
+            # one dgemm — exact, see __init__ — then threshold + pack the
+            # float x1 rows.
+            patches = ctx.arena.view("patch", (rows, volume), np.float64)
+            binary_conv.gather_patches_nhwc(
+                image, k, layer.stride, layer.padding, out=patches
+            )
+            x1 = ctx.arena.view("x1", (rows, cout), np.float64)
+            np.matmul(patches, self.float_weights, out=x1)
+            ctx.run_tiles(
+                rows,
+                lambda r0, r1: bitpack.threshold_pack_rows(
+                    x1, self.threshold, self.flip, out, r0, r1,
+                    self.out_word_size,
+                ),
+            )
         return Tensor(
             out.reshape(n, oh, ow, wc_out), Layout.NHWC,
             packed=True, true_channels=cout,
@@ -444,7 +597,18 @@ class FusedDenseStep(_FusedStepBase):
         acc = np.floor_divide(layer.in_features - threshold, 2)
         self.acc_threshold = np.clip(acc, -1, layer.in_features).astype(np.int32)
 
-    def run(self, x: Tensor, ctx: _ExecContext) -> Tensor:
+    def lower(self, impl):
+        return impl.prepare_filters(self.weights_packed)
+
+    def probe_input(self, rng) -> Tensor:
+        layer = self.layer
+        n_words = bitpack.words_per_channel(layer.in_features, layer.word_size)
+        return Tensor(
+            _random_packed(rng, (9, n_words), layer.word_size), Layout.NHWC,
+            packed=True, true_channels=layer.in_features,
+        )
+
+    def execute(self, x: Tensor, ctx: _ExecContext, compiled, operands) -> Tensor:
         layer = self.layer
         if x.packed:
             if x.data.ndim != 2:
@@ -469,22 +633,79 @@ class FusedDenseStep(_FusedStepBase):
         out = ctx.arena.view(
             self.out_slot, (rows, wc_out), bitpack.word_dtype(self.out_word_size)
         )
-        fused_rows = (
-            bitpack.fused_xor_threshold_rows if self.compiled is None
-            else self.compiled.fused_xor_threshold_rows
-        )
-        weights = self.weights_packed
-        if self.compiled is not None and not weights.flags["C_CONTIGUOUS"]:
-            weights = np.ascontiguousarray(weights)
+        if compiled is None:
+            fused_rows, weights, row_work = (
+                bitpack.fused_xor_threshold_rows, self.weights_packed, None)
+        else:
+            fused_rows, weights, row_work = (
+                compiled.fused_xor_threshold_rows, operands,
+                layer.out_features * operands.n_bytes)
         ctx.run_tiles(
             rows,
             lambda r0, r1: fused_rows(
                 packed, weights, self.acc_threshold, self.flip,
                 out, r0, r1, self.out_word_size, col_tile=ctx.col_tile,
             ),
+            row_work,
         )
         return Tensor(out, Layout.NHWC, packed=True,
                       true_channels=layer.out_features)
+
+
+class PackedPoolStep(_LoweredStep):
+    """Max-pool on a packed stream: bitwise OR over the window's words.
+
+    The NumPy path — and the reference a compiled kernel is probed
+    against — is ``MaxPool2d.forward``.
+    """
+
+    def __init__(self, layer, layer_index: int, channels: int,
+                 word_size: int, out_slot: str) -> None:
+        super().__init__(layer, layer_index, layer_index + 1)
+        self.channels = channels
+        self.word_size = word_size
+        self.out_slot = out_slot
+
+    @property
+    def describe(self) -> str:
+        layer = self.layer
+        return (
+            f"packed max-pool(or) {layer.name}: k{layer.pool_size} "
+            f"s{layer.stride} p{layer.padding}, w{self.word_size} words"
+        )
+
+    def lower(self, impl):
+        return ()  # the kernel needs nothing prepared
+
+    def probe_input(self, rng) -> Tensor:
+        layer = self.layer
+        side = _probe_extent(layer.pool_size, layer.stride, layer.padding)
+        wc = bitpack.words_per_channel(self.channels, self.word_size)
+        return Tensor(
+            _random_packed(rng, (2, side, side, wc), self.word_size),
+            Layout.NHWC, packed=True, true_channels=self.channels,
+        )
+
+    def execute(self, x: Tensor, ctx: _ExecContext, compiled, operands) -> Tensor:
+        layer = self.layer
+        if compiled is None or not x.packed:
+            return layer.forward(x)
+        packed = np.ascontiguousarray(x.data)
+        n, h, w, wc = packed.shape
+        oh = conv_output_size(h, layer.pool_size, layer.stride, layer.padding)
+        ow = conv_output_size(w, layer.pool_size, layer.stride, layer.padding)
+        rows = n * oh * ow
+        out = ctx.arena.view(self.out_slot, (rows, wc), packed.dtype)
+        ctx.run_tiles(
+            rows,
+            lambda r0, r1: compiled.packed_maxpool_rows(
+                packed, layer.pool_size, layer.stride, layer.padding,
+                oh, ow, out, r0, r1,
+            ),
+            layer.pool_size ** 2 * wc * packed.dtype.itemsize,
+        )
+        return Tensor(out.reshape(n, oh, ow, wc), Layout.NHWC,
+                      packed=True, true_channels=x.true_channels)
 
 
 class ExecutionPlan:
@@ -513,6 +734,8 @@ class ExecutionPlan:
         #: then) and the per-step selection report it produced.
         self.backend_spec = "numpy"
         self.backend_selection: Optional[Dict[str, str]] = None
+        #: ISA body the resolved compiled backend runs (``None`` on NumPy).
+        self.backend_isa: Optional[str] = None
         self._backend_requested: Optional[str] = None
 
     # ------------------------------------------------------------- validity
@@ -565,7 +788,7 @@ class ExecutionPlan:
         return report
 
     def backend_report(self) -> Dict[str, object]:
-        """What each step runs on: spec, resolved backend, per-step map."""
+        """What each step runs on: spec, resolved backend + ISA body, per-step map."""
         steps = self.backend_selection
         if steps is None:
             steps = {
@@ -575,6 +798,7 @@ class ExecutionPlan:
         return {
             "spec": self._backend_requested or "numpy",
             "backend": self.backend_spec,
+            "isa": self.backend_isa,
             "steps": dict(steps),
         }
 
@@ -710,6 +934,10 @@ def compile_plan(network) -> ExecutionPlan:
     snapshots: List[Tuple[object, str, object]] = []
     per_sample_peak = 0
     fused_index = 0
+    #: Packing word width of the activation stream entering layer ``i``, or
+    #: ``None`` where it is (or may be) unpacked.  Pools are only lowered
+    #: on a stream known to be packed.
+    stream_word_size: Optional[int] = None
     i = 0
     while i < len(layers):
         layer = layers[i]
@@ -717,8 +945,14 @@ def compile_plan(network) -> ExecutionPlan:
         if isinstance(layer, (InputConv2d, BinaryConv2d, BinaryDense)):
             match = _match_fused_block(layers, i)
         if match is None:
-            step = LayerStep(layer, i)
             in_shape, out_shape = shapes[i][1], shapes[i][2]
+            if stream_word_size is not None and isinstance(layer, MaxPool2d):
+                step = PackedPoolStep(layer, i, in_shape[2], stream_word_size,
+                                      f"act{fused_index % 2}")
+                fused_index += 1
+            else:
+                step = LayerStep(layer, i)
+                stream_word_size = None
             working = 4 * (int(np.prod(in_shape)) + int(np.prod(out_shape)))
             steps.append(step)
             per_sample_peak = max(per_sample_peak, working)
@@ -728,6 +962,7 @@ def compile_plan(network) -> ExecutionPlan:
         bound = layer.x1_magnitude_bound
         out_slot = f"act{fused_index % 2}"
         fused_index += 1
+        stream_word_size = out_word_size
         if isinstance(layer, BinaryDense):
             threshold, flip = exact_integer_threshold(
                 predicate, layer.out_features, -bound, bound

@@ -716,7 +716,7 @@ class ClusterService:
         provides the process-level parallelism).
     worker_backend:
         Kernel-backend spec workers warm their plans with (``auto`` /
-        ``numpy`` / ``cffi`` / ``numba``; default ``auto`` — compiled
+        ``numpy`` / ``cffi``; default ``auto`` — compiled
         kernels where each worker's host allows, NumPy fallback
         otherwise).
     max_outstanding:
@@ -2921,7 +2921,7 @@ def scaling_sweep(
     """Closed-loop cluster throughput vs the single-process service.
 
     ``worker_backend`` selects the kernel backend both the baseline and
-    every worker warm with (``auto``/``numpy``/``cffi``/``numba``), so
+    every worker warm with (``auto``/``numpy``/``cffi``), so
     the comparison stays apples-to-apples; the spec is recorded per sweep
     point.
 

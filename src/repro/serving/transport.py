@@ -1250,7 +1250,7 @@ def run_cluster_worker(address: str, threads: Optional[int] = None,
     threads : int, optional
         Fused-executor threads; overrides the router-sent worker config.
     backend : str, optional
-        Kernel-backend spec (``auto``/``numpy``/``cffi``/``numba``);
+        Kernel-backend spec (``auto``/``numpy``/``cffi``);
         overrides the router-sent worker config for *this host only* —
         the knob is per host because the toolchain is.
     retry_s : float

@@ -141,6 +141,23 @@ class TestInputConv:
         np.testing.assert_array_equal(out, ref)
 
 
+    @pytest.mark.parametrize("budget", [1, 12_000, 1 << 30])
+    def test_batch_chunking_never_changes_the_result(self, rng, monkeypatch,
+                                                     budget):
+        # The plane temporaries are sized by a byte budget, not the batch:
+        # one image per GEMM, two (ragged last chunk), or the whole batch
+        # at once must all give the integer reference.
+        monkeypatch.setattr(binary_conv, "_PLANE_CHUNK_BYTES", budget)
+        image = rng.integers(0, 256, size=(5, 6, 6, 3)).astype(np.uint8)
+        w_bits = rng.integers(0, 2, size=(3, 3, 3, 7), dtype=np.uint8)
+        out = binary_conv.input_conv2d_bitplanes(
+            image, binary_conv.pack_weights(w_bits), 3, 3, padding=1
+        )
+        assert out.dtype == np.int64 and out.flags.c_contiguous
+        ref = binary_conv.input_conv2d_reference(image, w_bits, 3, padding=1)
+        np.testing.assert_array_equal(out, ref)
+
+
 class TestProperties:
     @settings(max_examples=25, deadline=None)
     @given(

@@ -34,7 +34,7 @@ KEY_GROUPS = (
 #: measured with, e.g. BENCH_compiled_backend.json).  When present it must
 #: name a registered backend — kept in lockstep with
 #: ``repro.core.backends.BACKEND_CHOICES`` without importing the package.
-BACKEND_VALUES = frozenset({"auto", "numpy", "cffi", "numba"})
+BACKEND_VALUES = frozenset({"auto", "numpy", "cffi"})
 
 #: Extra required keys for specific ``op`` values.  ``chaos`` records
 #: (BENCH_chaos.json) must carry the full request accounting — the file's
