@@ -193,8 +193,9 @@ def _add_transport_arguments(parser: argparse.ArgumentParser) -> None:
     """Shared cluster-transport knobs for the serving subcommands."""
     parser.add_argument(
         "--transport", choices=("pipe", "uds", "tcp"), default="pipe",
-        help="cluster worker wire: multiprocessing pipes (single host, "
-             "default), Unix-domain sockets, or TCP (cross-host)",
+        help="how cluster workers are launched and connected: forked, on a "
+             "private Unix-domain socket (single host, default); exec'd, "
+             "on a Unix-domain socket; or exec'd, over TCP (cross-host)",
     )
     parser.add_argument(
         "--bind", default=None, metavar="ADDR",

@@ -11,8 +11,8 @@ capped by the GIL once the fused kernels saturate one interpreter.
   digest-keyed :class:`~repro.serving.shm_store.HostModelCache`;
 * each worker hosts a warmed :class:`InferenceService` (micro-batching,
   fused plans compiled at attach time) and talks to the front end over a
-  pluggable transport (:mod:`repro.serving.transport`): ``multiprocessing``
-  pipes on one host, Unix-domain or TCP sockets across hosts;
+  framed socket (:mod:`repro.serving.transport`): a private Unix-domain
+  socket to forked children on one host, UDS or TCP across hosts;
 * the front end routes with least-outstanding-requests balancing and
   per-model consistent tie-breaking (:mod:`repro.serving.router`), applies
   admission control (bounded per-worker outstanding windows,
@@ -37,12 +37,9 @@ selection, failure semantics).
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import subprocess
-import tempfile
 import threading
 import time
-import uuid
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -72,7 +69,7 @@ from repro.serving.transport import (
     SocketTransport,
     TransportClosed,
     WorkerEndpoint,
-    build_worker_service,
+    _private_uds_address,
 )
 
 __all__ = [
@@ -258,174 +255,6 @@ class WorkerConfig:
     #: selection is per host, so a heterogeneous cluster mixes backends
     #: safely (results are bit-identical by the verification gate).
     backend: str = "auto"
-
-
-# ---------------------------------------------------------------------------
-# worker process
-# ---------------------------------------------------------------------------
-
-def _worker_submit(service, response_q, worker_id: str, rid: int,
-                   model: str, image: np.ndarray, digest: str = "") -> None:
-    """Feed one routed request into the worker's local service.
-
-    ``digest`` pins the request to one resident artifact version (every
-    cluster dispatch is version-tagged); ``""`` serves the active one.
-    """
-    try:
-        future = service.submit(model, image, digest=digest or None)
-    except Exception as exc:
-        response_q.put(("err", worker_id, rid, f"{type(exc).__name__}: {exc}"))
-        return
-
-    def _done(done: Future, _rid: int = rid) -> None:
-        error = done.exception()
-        if error is not None:
-            response_q.put(
-                ("err", worker_id, _rid, f"{type(error).__name__}: {error}")
-            )
-        else:
-            response_q.put(("res", worker_id, _rid, done.result()))
-
-    future.add_done_callback(_done)
-
-
-def _worker_main(worker_id: str, handles: Dict[str, ShmModelHandle],
-                 config: WorkerConfig, request_q, response_q) -> None:
-    """Entry point of one worker process.
-
-    Attaches every published model zero-copy, warms a local
-    :class:`InferenceService` over them and serves the request queue until
-    a ``stop`` message arrives; heartbeats ride the response queue.
-    """
-    try:
-        attached = {handle.digest: attach_model(handle)
-                    for handle in handles.values()}
-        service, attach_ms = build_worker_service(list(attached.values()),
-                                                  config)
-    except BaseException as exc:  # noqa: BLE001 - reported to the front end
-        response_q.put(("init_error", worker_id,
-                        f"{type(exc).__name__}: {exc}"))
-        return
-
-    response_q.put(("ready", worker_id, os.getpid(), attach_ms))
-    # Heartbeat pacing must be monotonic: an NTP step or DST wall-clock
-    # jump on the worker's host must never freeze (or flood) the
-    # heartbeat stream — the supervisor would mass-declare workers dead.
-    last_hb = time.monotonic()
-    interval = max(0.01, config.heartbeat_interval_s)
-    try:
-        while True:
-            now = time.monotonic()
-            if now - last_hb >= interval:
-                response_q.put(("hb", worker_id, now))
-                last_hb = now
-            try:
-                message = request_q.get(timeout=interval / 2.0)
-            except queue_mod.Empty:
-                continue
-            kind = message[0]
-            if kind == "reqs":
-                for rid, model, image, digest in message[1]:
-                    _worker_submit(service, response_q, worker_id, rid, model,
-                                   image, digest)
-            elif kind == "attach":
-                # Dynamic (re)pinning: map more published artifacts into this
-                # worker.  Warming can take whole seconds for a deep model,
-                # so a heartbeat brackets each attach — a worker busy growing
-                # its pool must not read as dead.
-                for model, digest, nbytes, shm_name in message[1]:
-                    response_q.put(("hb", worker_id, time.monotonic()))
-                    t0 = time.perf_counter()
-                    just_attached = attach_model(ShmModelHandle(
-                        model=model, shm_name=shm_name, nbytes=nbytes,
-                        digest=digest,
-                    ))
-                    attached[digest] = just_attached  # keep the mapping alive
-                    service.pool.register(just_attached.network, name=model,
-                                          warm=True, digest=digest)
-                    response_q.put(("attached", worker_id, model,
-                                    (time.perf_counter() - t0) * 1000.0))
-                last_hb = time.monotonic()
-            elif kind == "prepare":
-                # Rollout fetch-ahead: stage a new artifact version beside
-                # the serving one without activating it.  Same heartbeat
-                # bracket as "attach" — warming must not read as death.
-                for model, digest, nbytes, shm_name in message[1]:
-                    response_q.put(("hb", worker_id, time.monotonic()))
-                    t0 = time.perf_counter()
-                    try:
-                        staged = attached.get(digest)
-                        if staged is None:
-                            staged = attach_model(ShmModelHandle(
-                                model=model, shm_name=shm_name, nbytes=nbytes,
-                                digest=digest,
-                            ))
-                            attached[digest] = staged
-                        service.pool.register(staged.network, name=model,
-                                              warm=True, digest=digest,
-                                              activate=False)
-                    except Exception as exc:  # noqa: BLE001 - no ack → the
-                        # controller's staging timeout rolls the rollout back.
-                        response_q.put(("err", worker_id, -1,
-                                        f"prepare {model}@{digest[:12]}: "
-                                        f"{type(exc).__name__}: {exc}"))
-                        continue
-                    response_q.put(("prepared", worker_id, model, digest,
-                                    (time.perf_counter() - t0) * 1000.0))
-                last_hb = time.monotonic()
-            elif kind == "commit":
-                # Atomic pointer flip: untagged requests now serve `digest`.
-                _, model, digest = message
-                try:
-                    service.pool.set_active(model, digest)
-                except KeyError:
-                    pass  # no ack → the promote timeout rolls back
-                else:
-                    response_q.put(("committed", worker_id, model, digest))
-            elif kind == "detach":
-                # Revocation: drop resident versions (digest "" = the whole
-                # model) and release their shared-memory views.
-                done_items: List[Tuple[str, str]] = []
-                freed = 0
-                for model, digest in message[1]:
-                    victims: List[str] = []
-                    try:
-                        if digest:
-                            service.retire(model, digest)
-                            victims = [digest]
-                        else:
-                            service.evict(model)
-                            victims = [
-                                d for d, a in attached.items()
-                                if a.handle.model == model
-                            ]
-                    except (KeyError, ValueError):
-                        continue
-                    for victim in victims:
-                        view = attached.pop(victim, None)
-                        if view is not None:
-                            freed += view.handle.nbytes
-                            view.close()
-                    done_items.append((model, digest))
-                response_q.put(("detached", worker_id, done_items, freed))
-            elif kind == "report":
-                response_q.put(("reports", worker_id, message[1],
-                                service.reports()))
-            elif kind == "stall":
-                # Fault injection: freeze the serve loop (heartbeats stop,
-                # queued work sits) for the requested window — exactly what
-                # a GC pause, page-in storm or wedged kernel looks like
-                # from the front end.
-                time.sleep(float(message[1]))
-                last_hb = 0.0  # heartbeat immediately on wake-up
-            elif kind == "stop":
-                break
-    finally:
-        # Drain: every accepted request resolves (and its response has been
-        # queued by the done-callback) before the final report goes out.
-        service.close(drain=True)
-        response_q.put(("reports", worker_id, -1, service.reports()))
-        response_q.put(("bye", worker_id))
 
 
 # ---------------------------------------------------------------------------
@@ -729,27 +558,29 @@ class ClusterService:
     max_respawns:
         Total crash-respawn budget (default: ``workers``).
     mp_context:
-        ``"fork"`` / ``"spawn"`` / a context object for the pipe transport;
-        default prefers fork (instant worker start; the plan module resets
-        its thread pools via ``os.register_at_fork``).
+        How the ``pipe`` transport starts its worker processes: ``"fork"``
+        / ``"spawn"`` / a context object; default prefers fork (instant
+        worker start; the plan module resets its thread pools via
+        ``os.register_at_fork``).
     transport:
-        ``"pipe"`` (default — today's single-host child processes),
-        ``"uds"`` / ``"tcp"`` (socket transports: workers are separate
-        ``repro.cli cluster-worker`` processes that self-register), or a
-        ready-made transport object.  See :mod:`repro.serving.transport`.
+        ``"pipe"`` (default: ``multiprocessing`` children on a private
+        Unix-domain socket), ``"uds"`` / ``"tcp"`` (exec'd ``repro.cli
+        cluster-worker`` processes; external workers may dial in too), or a
+        ready-made transport object.  Every worker runs the same
+        self-registering serve loop; see :mod:`repro.serving.transport`.
     bind:
-        Socket-transport listen address (``tcp://host:port``,
+        ``uds`` / ``tcp`` listen address (``tcp://host:port``,
         ``uds:///path``).  Defaults: TCP loopback on an ephemeral port, or
         a temp-dir socket path.  The resolved address is
         ``cluster.transport.address``.
     expect_workers:
         Additionally wait at startup for this many *externally launched*
-        workers to self-register (socket transports only) — the two-
+        workers to self-register (``uds`` / ``tcp`` only) — the two-
         terminal topology in ``docs/deployment.md``.  ``workers=0`` with
         ``expect_workers>0`` runs the router with no locally spawned
         workers at all.
     reconnect_grace_s:
-        After a socket worker's connection drops while its process is
+        After a worker's connection drops while its process is
         still alive, how long requeued work may park waiting for the
         reconnection before the worker is declared dead for good.
     pin_models:
@@ -832,11 +663,10 @@ class ClusterService:
         slo_reserves: Optional[Mapping[str, int]] = None,
         slo_policies: Optional[Mapping[str, SLOPolicy]] = None,
     ) -> None:
-        socket_mode = (transport in ("uds", "tcp") if isinstance(transport, str)
-                       else getattr(transport, "spawns_via_registration", False))
-        if expect_workers and not socket_mode:
-            raise ValueError("expect_workers requires a socket transport")
-        if workers < 1 and not (socket_mode and expect_workers > 0):
+        if expect_workers and (transport == "pipe"
+                               or isinstance(transport, PipeTransport)):
+            raise ValueError("expect_workers requires the uds or tcp transport")
+        if workers < 1 and expect_workers < 1:
             raise ValueError("workers must be at least 1")
         self.autoscaler = (Autoscaler(autoscale) if autoscale is not None
                            else None)
@@ -945,10 +775,10 @@ class ClusterService:
         #: ``("detached", worker, items, freed_bytes)`` acks, for tests
         #: asserting attach revocation actually freed worker memory.
         self._detach_log: List[tuple] = []
-        #: Socket workers the router launched that have not yet said hello,
-        #: keyed by subprocess pid.
+        #: Workers the router launched that have not yet said hello, keyed
+        #: by pid (``subprocess.Popen`` or a Popen-shaped process handle).
         self._spawn_pending: Dict[int, subprocess.Popen] = {}
-        #: Socket workers whose link dropped but whose process is alive and
+        #: Workers whose link dropped but whose process is alive and
         #: expected to dial back: ``{pid: (popen, deadline)}``.
         self._rejoin_pending: Dict[int, tuple] = {}
 
@@ -994,18 +824,12 @@ class ClusterService:
             return transport
         if transport == "pipe":
             if bind is not None:
-                raise ValueError("bind is only meaningful for socket transports")
+                raise ValueError("bind is only meaningful for uds and tcp")
             return PipeTransport(mp_context=mp_context)
         if transport == "tcp":
             return SocketTransport(bind or "tcp://127.0.0.1:0")
         if transport == "uds":
-            if bind is None:
-                path = os.path.join(
-                    tempfile.gettempdir(),
-                    f"repro-cluster-{os.getpid()}-{uuid.uuid4().hex[:8]}.sock",
-                )
-                bind = f"uds://{path}"
-            return SocketTransport(bind)
+            return SocketTransport(bind or _private_uds_address())
         raise ValueError(
             f"unknown transport {transport!r}; expected pipe, uds or tcp"
         )
@@ -1058,31 +882,16 @@ class ClusterService:
         return desired.get(worker_id, set())
 
     def _spawn_worker(self) -> None:
-        """Start one router-owned worker (child process or subprocess)."""
-        if self.transport.spawns_via_registration:
+        """Launch one router-owned worker; it joins when its hello arrives."""
+        with self._lock:
+            # Launch under the lock: a forked child can say hello before
+            # launch_worker returns, and its registration must find its pid
+            # pending (or it would be admitted as an external worker).
             process = self.transport.launch_worker()
-            with self._lock:
-                self._spawn_pending[process.pid] = process
-            return
-        with self._lock:
-            worker_id = f"w{self._next_worker}"
-            self._next_worker += 1
-            assigned = self._assigned_models(worker_id)
-        handles = (self._handles if assigned is None
-                   else {m: self._handles[m] for m in sorted(assigned)})
-        endpoint = self.transport.spawn(worker_id, handles, self.config)
-        if self._faults is not None:
-            endpoint = self._faults.wrap_endpoint(endpoint)
-        with self._lock:
-            self._workers[worker_id] = _Worker(
-                worker_id=worker_id,
-                endpoint=endpoint,
-                spawned_at=time.perf_counter(),
-                models=assigned,
-            )
+            self._spawn_pending[process.pid] = process
 
     def _register_worker(self, channel, hello: dict):
-        """Admit a socket worker that said hello (new spawn or reconnect).
+        """Admit a worker that said hello (new spawn or reconnect).
 
         Runs on the transport's handshake thread.  Returns the endpoint to
         start reading from, or ``None`` to reject (cluster closed).
@@ -1109,7 +918,7 @@ class ClusterService:
                 if process is None:
                     process = rejoin[0]
                 self._respawns += 1
-        endpoint = self.transport.make_endpoint(worker_id, channel, process)
+        endpoint = WorkerEndpoint(worker_id, channel, process)
         if self._faults is not None:
             endpoint = self._faults.wrap_endpoint(endpoint)
         manifest_handles = (list(self._handles.values()) if assigned is None
@@ -1500,11 +1309,10 @@ class ClusterService:
 
     # ------------------------------------------------------------- inbound
     def _handle_message(self, message: tuple) -> None:
-        """Inbound dispatch; called from the transport's delivery thread(s).
+        """Inbound dispatch; called from the transport's reader threads.
 
-        The pipe transport delivers from one pump thread, socket transports
-        from one reader thread per connection — every branch takes the
-        cluster lock, so concurrent delivery is safe.
+        Each worker connection has its own reader thread — every branch
+        takes the cluster lock, so concurrent delivery is safe.
         """
         kind = message[0]
         if kind == "res" or kind == "err":
@@ -1527,15 +1335,11 @@ class ClusterService:
                 worker = self._workers.get(worker_id)
                 if worker is not None:
                     worker.attach_ms[model] = ms
-                    worker.last_heartbeat = time.perf_counter()
         elif kind == "prepared":
             self._handle_prepared(message)
         elif kind == "committed":
             _, worker_id, model, digest = message
             with self._lock:
-                worker = self._workers.get(worker_id)
-                if worker is not None:
-                    worker.last_heartbeat = time.perf_counter()
                 rollout = self._rollouts.get(model)
                 if (rollout is not None
                         and digest == rollout.controller.new_digest):
@@ -1544,9 +1348,6 @@ class ClusterService:
         elif kind == "detached":
             _, worker_id, items, freed = message
             with self._lock:
-                worker = self._workers.get(worker_id)
-                if worker is not None:
-                    worker.last_heartbeat = time.perf_counter()
                 self._detach_log.append((worker_id, list(items), int(freed)))
                 for model, digest in items:
                     # Straggler cleanup: e.g. a prepare that completed
@@ -1599,7 +1400,6 @@ class ClusterService:
         with self._lock:
             worker = self._workers.get(worker_id)
             if worker is not None:
-                worker.last_heartbeat = time.perf_counter()
                 worker.attach_ms[f"{model}@{digest[:12]}"] = ms
             self.router.declare_digest(worker_id, model, digest)
             rollout = self._rollouts.get(model)
@@ -1966,16 +1766,16 @@ class ClusterService:
         self._check_unjoined(now)
 
     def _check_unjoined(self, now: float) -> None:
-        """Reap socket workers that died before (re)registering.
+        """Reap workers that died before (re)registering.
 
-        A launched subprocess that exits before its hello, or a
+        A launched worker process that exits before its hello, or a
         disconnected worker whose process dies (or whose reconnect grace
         expires) while work is parked waiting for it, must convert into a
         respawn or a drained orphan — never a silent hang.
         """
-        #: (process-or-None, router_owned) — external rejoin entries carry
-        #: no process handle and are never respawned by the router.
-        failed: List[tuple] = []
+        #: Router-owned processes; ``None`` for an external rejoin entry,
+        #: which the router never respawns.
+        failed: List = []
         with self._lock:
             for pid, process in list(self._spawn_pending.items()):
                 code = process.poll()
@@ -1985,17 +1785,17 @@ class ClusterService:
                         f"worker pid {pid} exited with code {code} before "
                         f"registering"
                     )
-                    failed.append((process, True))
+                    failed.append(process)
             for pid, (process, deadline) in list(self._rejoin_pending.items()):
                 process_died = process is not None and process.poll() is not None
                 if process_died or now > deadline:
                     del self._rejoin_pending[pid]
-                    failed.append((process, process is not None))
-        for process, router_owned in failed:
+                    failed.append(process)
+        for process in failed:
             if process is not None and process.poll() is None:
                 process.terminate()  # pragma: no cover - grace expired
             with self._lock:
-                respawn = (router_owned
+                respawn = (process is not None
                            and self._respawns < self.max_respawns
                            and not self._closed)
                 if respawn:
@@ -2012,13 +1812,12 @@ class ClusterService:
     def _handle_worker_death(self, worker: _Worker) -> None:
         """Recover a dead worker link: respawn/await-reconnect + requeue.
 
-        Pipe workers are child processes — death means the process died,
-        so the recovery is a respawn (budget permitting).  Socket workers
-        die in two ways: the *process* died (respawn if the router launched
-        it) or only the *connection* died while the process lives — then
-        the worker is expected to dial back within ``reconnect_grace_s``
-        and requeued work may park for it.  Externally launched workers
-        are never respawned; they re-admit themselves by reconnecting.
+        A worker dies in two ways: the *process* died (respawn if the router
+        launched it, budget permitting) or only the *connection* died while
+        the process lives — then the worker is expected to dial back within
+        ``reconnect_grace_s`` and requeued work may park for it.  Externally
+        launched workers are never respawned; they re-admit themselves by
+        reconnecting.
         """
         endpoint = worker.endpoint
         with self._lock:
@@ -2058,29 +1857,18 @@ class ClusterService:
             # them parked would hang their futures forever.
             victims.extend(self._orphans)
             self._orphans = []
-            rejoining = False
+            # Link lost but the router-owned process lives: it will
+            # reconnect.  An externally launched worker's process is out of
+            # sight, so it gets the same reconnect grace on faith — the
+            # entry expires (and parked work drains) if it never dials back.
             process = endpoint.surviving_process()
-            external = (getattr(endpoint, "reconnects", False)
-                        and not endpoint.respawnable)
-            if not self._closed:
-                if process is not None:
-                    # Link lost but the router-owned process lives: it will
-                    # reconnect.
-                    self._rejoin_pending[process.pid] = (
-                        process,
-                        time.perf_counter() + self.reconnect_grace_s,
-                    )
-                    rejoining = True
-                elif external and worker.pid is not None:
-                    # Externally launched worker: the router cannot see its
-                    # process, so grant the same reconnect grace on faith —
-                    # the entry expires (and parked work drains) if it never
-                    # dials back.
-                    self._rejoin_pending[worker.pid] = (
-                        None,
-                        time.perf_counter() + self.reconnect_grace_s,
-                    )
-                    rejoining = True
+            pid = worker.pid if process is None else process.pid
+            rejoining = not self._closed and (
+                process is not None
+                or (not endpoint.respawnable and pid is not None))
+            if rejoining:
+                self._rejoin_pending[pid] = (
+                    process, time.perf_counter() + self.reconnect_grace_s)
             respawn = (endpoint.respawnable and not rejoining
                        and self._respawns < self.max_respawns
                        and not self._closed)

@@ -42,6 +42,7 @@ like a local worker attaches the owner's segment.
 
 from __future__ import annotations
 
+import _posixshmem
 import contextlib
 import hashlib
 import threading
@@ -545,26 +546,37 @@ class HostModelCache:
 
     def _attach_ready(self, handle: ShmModelHandle,
                       cache_name: str) -> Optional[AttachedModel]:
-        """Attach the digest-named cache segment if it exists and is ready."""
+        """Attach the digest-named cache segment once its publisher is done.
+
+        ``None`` when no such segment exists (any more).  One that exists
+        but is not ready — still empty between the publisher's ``shm_open``
+        and ``ftruncate``, or sized with its ready byte unset — is polled
+        until ``ready_timeout_s``.
+        """
         t0 = time.perf_counter()
-        try:
-            with _untracked_attach():
-                shm = _QuietSharedMemory(name=cache_name, create=False)
-        except FileNotFoundError:
-            return None
-        deadline = time.perf_counter() + self.ready_timeout_s
-        while shm.buf[handle.nbytes] != 1:
-            if time.perf_counter() > deadline:
-                # Publisher crashed mid-write: reclaim so a live worker can
-                # republish (the unlink only hides the name; crashed
-                # mappings are already gone).
+        deadline = t0 + self.ready_timeout_s
+        while True:
+            try:
+                with _untracked_attach():
+                    shm = _QuietSharedMemory(name=cache_name, create=False)
+            except FileNotFoundError:
+                return None
+            except ValueError:  # "cannot mmap an empty file": not sized yet
+                shm = None
+            if (shm is not None and shm.size > handle.nbytes
+                    and shm.buf[handle.nbytes] == 1):
+                return self._load(shm, handle, t0, source="host-cache")
+            if shm is not None:
                 shm.close()
+            if time.perf_counter() > deadline:
+                # Publisher crashed mid-publish: reclaim so a live worker can
+                # republish (the unlink only hides the name; crashed
+                # mappings are already gone).  By name: a still-empty
+                # segment cannot be mapped.
                 with contextlib.suppress(FileNotFoundError):
-                    shared_memory.SharedMemory(name=cache_name,
-                                               create=False).unlink()
+                    _posixshmem.shm_unlink("/" + cache_name)
                 return None
             time.sleep(0.01)
-        return self._load(shm, handle, t0, source="host-cache")
 
     def _attach_owner(self, handle: ShmModelHandle) -> Optional[AttachedModel]:
         """Attach the owner's segment directly (co-hosted router only)."""

@@ -1,17 +1,18 @@
-"""Pluggable cluster transports: multiprocessing pipes, UDS and TCP.
+"""Cluster transports: one framed socket wire, three ways to launch workers.
 
 The cluster front end (:mod:`repro.serving.cluster`) and its workers speak
-a small message protocol — ``reqs`` / ``res`` / ``hb`` / ``reports`` — that
-was deliberately message-shaped from day one.  This module makes the wire
-underneath it pluggable:
+a small message protocol — ``reqs`` / ``res`` / ``hb`` / ``reports`` — over
+one framed socket per worker.  Every worker runs :func:`run_cluster_worker`:
+it dials the router, self-registers (``hello`` → ``welcome`` → ``ready``)
+and resolves model bytes through the digest-keyed per-host cache
+(:class:`repro.serving.shm_store.HostModelCache`).  Transports differ only
+in the listener and in how a router-owned worker is launched:
 
-* :class:`PipeTransport` — today's single-host behaviour: workers are
-  forked/spawned child processes talking over ``multiprocessing`` queues.
-* :class:`SocketTransport` — workers connect over a Unix-domain socket
-  (same host, no TCP stack) or TCP (cross-host), self-register with a
-  ``hello`` → ``welcome`` → ``ready`` handshake, and fetch model bytes
-  they do not hold through the digest-keyed per-host cache
-  (:class:`repro.serving.shm_store.HostModelCache`).
+* :class:`PipeTransport` — the single-host default: a private Unix-domain
+  socket, workers forked (or spawned) as ``multiprocessing`` children.
+* :class:`SocketTransport` — UDS (same host, no TCP stack) or TCP
+  (cross-host); router-owned workers are exec'd ``repro.cli
+  cluster-worker`` subprocesses, and external workers may dial in too.
 
 Messages cross sockets as **length-prefixed frames**.  The hot path —
 request images out, result rows back — is serialized without pickle: the
@@ -65,9 +66,12 @@ import socket
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import uuid
+import weakref
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -524,27 +528,25 @@ def _connect_with_retry(address: str, retry_s: float,
 # ---------------------------------------------------------------------------
 
 class WorkerEndpoint:
-    """Router-side handle for one worker, however it is connected.
+    """Router-side handle for one registered worker's framed connection.
 
     The cluster front end only ever talks to workers through this surface:
     ``send`` for outbound messages, ``alive`` for supervision, ``kill`` for
     tests/hard teardown, ``shutdown`` for cleanup.  ``respawnable`` tells
     the supervisor whether the router owns the worker's lifecycle (it
-    spawned the process) or merely its link (an externally launched worker
-    re-admits itself by reconnecting).
+    launched the Popen-shaped ``process``) or merely its link (an externally
+    launched worker, ``process=None``, re-admits itself by reconnecting).
     """
 
-    worker_id: str
-    respawnable: bool = False
-    #: Whether a lost link may come back on its own (socket workers redial;
-    #: a pipe worker's link *is* its process).
-    reconnects: bool = False
+    def __init__(self, worker_id: str, channel: Channel, process=None) -> None:
+        self.worker_id = worker_id
+        self.channel = channel
+        self.process = process
+        self.respawnable = process is not None
+        self._reader: Optional[threading.Thread] = None
 
     def send(self, message) -> None:
-        raise NotImplementedError
-
-    def alive(self) -> bool:
-        raise NotImplementedError
+        self.channel.send(message)
 
     def request_stop(self) -> None:
         """Best-effort graceful stop message."""
@@ -552,79 +554,6 @@ class WorkerEndpoint:
             self.send(("stop",))
         except (TransportClosed, ValueError, OSError):
             pass
-
-    def kill(self) -> None:
-        raise NotImplementedError
-
-    def reap(self) -> None:
-        """Release a dead worker's transport resources without blocking."""
-        raise NotImplementedError
-
-    def surviving_process(self):
-        """The worker's still-running OS process after a link death.
-
-        Non-``None`` only when the *connection* died while the process
-        lives — the reconnect-expected case.  Pipe workers' link *is*
-        their process, so they always return ``None``.
-        """
-        return None
-
-    def shutdown(self, timeout_s: float = 5.0) -> None:
-        raise NotImplementedError
-
-
-class _PipeEndpoint(WorkerEndpoint):
-    """A forked/spawned child process over multiprocessing queues."""
-
-    respawnable = True
-
-    def __init__(self, worker_id: str, process, request_q) -> None:
-        self.worker_id = worker_id
-        self.process = process
-        self.request_q = request_q
-
-    def send(self, message) -> None:
-        try:
-            self.request_q.put(message)
-        except (ValueError, OSError) as exc:
-            raise TransportClosed(str(exc)) from exc
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def kill(self) -> None:
-        self.process.kill()
-
-    def reap(self) -> None:
-        if self.process.is_alive():  # pragma: no cover - hb-stale only
-            self.process.terminate()
-        self.request_q.close()
-        self.request_q.cancel_join_thread()
-
-    def shutdown(self, timeout_s: float = 5.0) -> None:
-        self.process.join(timeout=timeout_s)
-        if self.process.is_alive():  # pragma: no cover - stragglers
-            self.process.terminate()
-            self.process.join(timeout=timeout_s)
-        self.request_q.close()
-        self.request_q.cancel_join_thread()
-
-
-class _SocketEndpoint(WorkerEndpoint):
-    """A self-registered worker over one framed socket connection."""
-
-    reconnects = True
-
-    def __init__(self, worker_id: str, channel: Channel,
-                 process: Optional[subprocess.Popen] = None) -> None:
-        self.worker_id = worker_id
-        self.channel = channel
-        self.process = process  #: set when the router spawned the worker
-        self.respawnable = process is not None
-        self._reader: Optional[threading.Thread] = None
-
-    def send(self, message) -> None:
-        self.channel.send(message)
 
     def alive(self) -> bool:
         if self.channel.closed:
@@ -643,6 +572,7 @@ class _SocketEndpoint(WorkerEndpoint):
         self.channel.close()
 
     def surviving_process(self):
+        """The router-launched process if it outlived its link, else None."""
         if self.process is not None and self.process.poll() is None:
             return self.process
         return None
@@ -690,82 +620,13 @@ class _SocketEndpoint(WorkerEndpoint):
 # transports
 # ---------------------------------------------------------------------------
 
-class PipeTransport:
-    """Single-host transport over ``multiprocessing`` queues (the default).
-
-    Workers are child processes of the router; each has a private request
-    queue and all share one response queue, which this transport pumps into
-    the cluster's message handler.  This is PR 4's exact behaviour behind
-    the new endpoint surface.
-    """
-
-    kind = "pipe"
-    #: Pipe workers are endpoints the moment they are spawned; socket
-    #: workers only become endpoints when their hello arrives.
-    spawns_via_registration = False
-
-    def __init__(self, mp_context=None) -> None:
-        import multiprocessing
-
-        if isinstance(mp_context, str):
-            mp_context = multiprocessing.get_context(mp_context)
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-        self._ctx = mp_context
-        self._deliver: Optional[Callable[[tuple], None]] = None
-        self._response_q = None
-        self._pump_thread: Optional[threading.Thread] = None
-        self._closing = threading.Event()
-
-    def start(self, deliver: Callable[[tuple], None], register=None) -> None:
-        self._deliver = deliver
-        self._response_q = self._ctx.Queue()
-        self._pump_thread = threading.Thread(
-            target=self._pump, name="cluster-pump", daemon=True
-        )
-        self._pump_thread.start()
-
-    def _pump(self) -> None:
-        import queue as queue_mod
-
-        while True:
-            try:
-                message = self._response_q.get(timeout=0.05)
-            except queue_mod.Empty:
-                if self._closing.is_set():
-                    return
-                continue
-            except (EOFError, OSError):  # pragma: no cover - queue torn down
-                return
-            try:
-                self._deliver(message)
-            except Exception:  # pragma: no cover - defensive
-                pass
-
-    def spawn(self, worker_id: str, handles: Dict, config) -> _PipeEndpoint:
-        """Fork/spawn one worker process wired to the shared response queue."""
-        from repro.serving.cluster import _worker_main
-
-        request_q = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(worker_id, handles, config, request_q, self._response_q),
-            name=f"cluster-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        return _PipeEndpoint(worker_id, process, request_q)
-
-    def close(self) -> None:
-        self._closing.set()
-        if self._pump_thread is not None:
-            self._pump_thread.join(timeout=5.0)
-        if self._response_q is not None:
-            self._response_q.close()
-            self._response_q.cancel_join_thread()
+def _private_uds_address() -> str:
+    """A fresh ``uds://`` address in the temp dir, unique to this router."""
+    path = os.path.join(
+        tempfile.gettempdir(),
+        f"repro-cluster-{os.getpid()}-{uuid.uuid4().hex[:8]}.sock",
+    )
+    return format_address("uds", path)
 
 
 class SocketTransport:
@@ -780,8 +641,6 @@ class SocketTransport:
         available as :attr:`address` after construction and is what spawned
         workers connect back to.
     """
-
-    spawns_via_registration = True
 
     def __init__(self, address: str = "tcp://127.0.0.1:0") -> None:
         scheme, target = parse_address(address)
@@ -803,13 +662,16 @@ class SocketTransport:
             self._listener.listen(64)
             self._uds_path = target
             self.address = format_address("uds", target)
+        #: The listener and every accepted connection: what a forked
+        #: worker inherits and must close (see :class:`PipeTransport`).
+        self._router_sockets = weakref.WeakSet([self._listener])
         self._deliver: Optional[Callable[[tuple], None]] = None
         self._register = None
         self._accept_thread: Optional[threading.Thread] = None
         self._closing = threading.Event()
 
     def start(self, deliver: Callable[[tuple], None],
-              register: Callable[[Channel, dict], Optional[_SocketEndpoint]]
+              register: Callable[[Channel, dict], Optional[WorkerEndpoint]]
               ) -> None:
         """Begin accepting workers.
 
@@ -833,6 +695,7 @@ class SocketTransport:
                 continue
             except OSError:  # pragma: no cover - listener torn down
                 return
+            self._router_sockets.add(conn)
             threading.Thread(
                 target=self._handshake, args=(conn,),
                 name="cluster-handshake", daemon=True,
@@ -857,12 +720,6 @@ class SocketTransport:
             return
         endpoint.start_reader(self._deliver)
 
-    @staticmethod
-    def make_endpoint(worker_id: str, channel: Channel,
-                      process: Optional[subprocess.Popen]) -> "_SocketEndpoint":
-        """Endpoint for a registered connection (keeps the class private)."""
-        return _SocketEndpoint(worker_id, channel, process)
-
     def spawn_command(self, extra_args: Sequence[str] = ()) -> List[str]:
         """Command line for a local worker subprocess dialing this router."""
         return [sys.executable, "-m", "repro.cli", "cluster-worker",
@@ -886,6 +743,11 @@ class SocketTransport:
     def close(self) -> None:
         self._closing.set()
         try:
+            # Wake the accept thread now (Linux), not at its next timeout.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:  # pragma: no cover - double close
             pass
@@ -898,22 +760,89 @@ class SocketTransport:
                 pass
 
 
+class PipeTransport(SocketTransport):
+    """Single-host default: ``multiprocessing`` workers on a private UDS.
+
+    A :class:`SocketTransport` on a fresh temp-dir socket path whose
+    router-owned workers are ``mp_context`` child processes (``"fork"`` /
+    ``"spawn"`` / a context object; default prefers fork) instead of
+    exec'd ``repro.cli cluster-worker`` subprocesses.  They run the same
+    :func:`run_cluster_worker` loop, quietly.
+    """
+
+    def __init__(self, mp_context=None) -> None:
+        import multiprocessing
+
+        if isinstance(mp_context, str):
+            mp_context = multiprocessing.get_context(mp_context)
+        if mp_context is None:
+            methods = multiprocessing.get_all_start_methods()
+            mp_context = multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn"
+            )
+        super().__init__(_private_uds_address())
+        self.kind = "pipe"
+        self._ctx = mp_context
+
+    def launch_worker(self) -> "_ProcessHandle":
+        """Start one worker process dialing this router."""
+        # A forked child starts with copies of the router's listener and of
+        # every connection accepted so far, passed here by reference (fork
+        # does not pickle) so the child sees exactly the set at fork time.
+        forked = self._ctx.get_start_method() == "fork"
+        process = self._ctx.Process(
+            target=_run_pipe_worker,
+            args=(self.address, self._router_sockets if forked else ()),
+            name="cluster-worker", daemon=True,
+        )
+        process.start()
+        return _ProcessHandle(process)
+
+
+class _ProcessHandle:
+    """``subprocess.Popen``-shaped view of a ``multiprocessing`` process."""
+
+    def __init__(self, process) -> None:
+        self._process = process
+        self.pid = process.pid
+        self.kill, self.terminate = process.kill, process.terminate
+
+    def poll(self) -> Optional[int]:
+        return self._process.exitcode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        self._process.join(timeout)
+        if self._process.exitcode is None:
+            raise subprocess.TimeoutExpired(f"pid {self.pid}", timeout)
+        return self._process.exitcode
+
+
+def _run_pipe_worker(address: str, inherited: Iterable[socket.socket]) -> None:
+    """Process body of a :class:`PipeTransport` worker."""
+    # Drop the router's sockets before serving.  A duplicate held here
+    # keeps a sibling's link open whenever the router's copy closes without
+    # a shutdown() — when the router process dies, say — so that sibling
+    # never sees EOF and never exits.  close() only: the router still uses
+    # these sockets.
+    for sock in list(inherited):
+        sock.close()
+    raise SystemExit(run_cluster_worker(address, log=lambda _line: None))
+
+
 # ---------------------------------------------------------------------------
-# worker side (socket transports)
+# worker side
 # ---------------------------------------------------------------------------
 
 def fetch_artifact(channel: Channel, worker_id: str, digest: str,
-                   defer: Optional[List] = None) -> bytes:
+                   defer: List) -> bytes:
     """Fetch one published artifact's bytes over ``channel`` by digest.
 
     Sent as ``("fetch", worker_id, digest)``; the router answers
     ``("blob", digest, payload)`` with the payload framed as a raw uint8
     array (zero-copy out of the owner's shared-memory segment).  Runs
-    during worker initialization (before the serve loop owns the
-    connection) and during dynamic re-pin attaches (mid-stream) — in the
-    latter case ``defer`` collects the unrelated messages that arrive
-    while waiting for the blob, so the serve loop can replay them instead
-    of losing them.
+    during worker initialization and during dynamic attaches (mid-stream);
+    ``defer`` collects the unrelated messages that arrive while waiting
+    for the blob, so the serve loop can replay them instead of losing them.
     """
     channel.send(("fetch", worker_id, digest))
     while True:
@@ -925,19 +854,14 @@ def fetch_artifact(channel: Channel, worker_id: str, digest: str,
             raise RuntimeError(f"router could not serve artifact: {message[2]}")
         if kind == "stop":
             raise TransportClosed("router stopped during artifact fetch")
-        if defer is not None:
-            defer.append(message)
-        # With no defer list (initialization), anything else is ignored
-        # until our blob arrives; the router sends requests only after
-        # "ready".
+        defer.append(message)
 
 
 def build_worker_service(attachments: Sequence, config):
     """Warm an ``InferenceService`` over attached models.
 
-    Shared by the pipe worker (:func:`repro.serving.cluster._worker_main`)
-    and the socket worker (:func:`run_cluster_worker`) so both hosts serve
-    through an identically configured service.
+    Every cluster worker — forked, spawned or exec'd, all running
+    :func:`run_cluster_worker` — serves through a service built here.
 
     Returns
     -------
@@ -978,13 +902,13 @@ def build_worker_service(attachments: Sequence, config):
     return service, attach_ms
 
 
-def _serve_session(channel: Channel, welcome, attachments_by_digest: Dict,
-                   cli_threads: Optional[int], log,
-                   cli_backend: Optional[str] = None) -> str:
+def _serve_session(channel: Channel, welcome, cache,
+                   attachments_by_digest: Dict, cli_threads: Optional[int],
+                   log, cli_backend: Optional[str] = None) -> str:
     """Run one connected session; returns ``"stop"`` or ``"lost"``."""
     from dataclasses import replace
 
-    from repro.serving.shm_store import HostModelCache, ShmModelHandle
+    from repro.serving.shm_store import ShmModelHandle
 
     _, worker_id, manifest, config = welcome
     if cli_threads is not None:
@@ -998,23 +922,25 @@ def _serve_session(channel: Channel, welcome, attachments_by_digest: Dict,
     # cross-host deployments on one runner.
     force_fetch = os.environ.get("REPRO_CLUSTER_FORCE_FETCH", "") not in (
         "", "0", "false", "False")
-    cache: HostModelCache = attachments_by_digest["__cache__"]
+    #: Messages that arrived while an attach was fetching its blob;
+    #: replayed in order before reading the socket again.
+    deferred: List = []
+
+    def _resolve(model: str, digest: str, nbytes: int, shm_name: str):
+        """This host's attachment of one manifest entry (fetched at most once)."""
+        attached = attachments_by_digest.get(digest)
+        if attached is None:
+            handle = ShmModelHandle(
+                model=model, shm_name="" if force_fetch else shm_name,
+                nbytes=nbytes, digest=digest,
+            )
+            attached = cache.attach(handle, fetch=lambda: fetch_artifact(
+                channel, worker_id, digest, defer=deferred))
+            attachments_by_digest[digest] = attached
+        return attached
+
     try:
-        attachments = []
-        for model, digest, nbytes, shm_name in manifest:
-            attached = attachments_by_digest.get(digest)
-            if attached is None:
-                handle = ShmModelHandle(
-                    model=model, shm_name="" if force_fetch else shm_name,
-                    nbytes=nbytes, digest=digest,
-                )
-                attached = cache.attach(
-                    handle,
-                    fetch=lambda w=worker_id, d=digest: fetch_artifact(
-                        channel, w, d),
-                )
-                attachments_by_digest[digest] = attached
-            attachments.append(attached)
+        attachments = [_resolve(*entry) for entry in manifest]
         service, attach_ms = build_worker_service(attachments, config)
     except TransportClosed:
         raise
@@ -1062,9 +988,6 @@ def _serve_session(channel: Channel, welcome, attachments_by_digest: Dict,
             pass
 
     outcome = "lost"
-    #: Messages that arrived while a dynamic attach was fetching its blob;
-    #: replayed in order before reading the socket again.
-    deferred: List = []
     try:
         while True:
             if deferred:
@@ -1084,19 +1007,7 @@ def _serve_session(channel: Channel, welcome, attachments_by_digest: Dict,
                 # the per-host digest cache (one wire fetch per host ever).
                 for model, digest, nbytes, shm_name in message[1]:
                     t0 = time.perf_counter()
-                    attached = attachments_by_digest.get(digest)
-                    if attached is None:
-                        handle = ShmModelHandle(
-                            model=model,
-                            shm_name="" if force_fetch else shm_name,
-                            nbytes=nbytes, digest=digest,
-                        )
-                        attached = cache.attach(
-                            handle,
-                            fetch=lambda w=worker_id, d=digest: fetch_artifact(
-                                channel, w, d, defer=deferred),
-                        )
-                        attachments_by_digest[digest] = attached
+                    attached = _resolve(model, digest, nbytes, shm_name)
                     service.pool.register(attached.network, name=model,
                                           warm=True, digest=digest)
                     _send_response(("attached", worker_id, model,
@@ -1112,19 +1023,7 @@ def _serve_session(channel: Channel, welcome, attachments_by_digest: Dict,
                 for model, digest, nbytes, shm_name in message[1]:
                     t0 = time.perf_counter()
                     try:
-                        attached = attachments_by_digest.get(digest)
-                        if attached is None:
-                            handle = ShmModelHandle(
-                                model=model,
-                                shm_name="" if force_fetch else shm_name,
-                                nbytes=nbytes, digest=digest,
-                            )
-                            attached = cache.attach(
-                                handle,
-                                fetch=lambda w=worker_id, d=digest:
-                                fetch_artifact(channel, w, d, defer=deferred),
-                            )
-                            attachments_by_digest[digest] = attached
+                        attached = _resolve(model, digest, nbytes, shm_name)
                         service.pool.register(attached.network, name=model,
                                               warm=True, digest=digest,
                                               activate=False)
@@ -1164,8 +1063,7 @@ def _serve_session(channel: Channel, welcome, attachments_by_digest: Dict,
                             service.evict(model)
                             victims = [d for d, a in
                                        attachments_by_digest.items()
-                                       if d != "__cache__"
-                                       and a.handle.model == model]
+                                       if a.handle.model == model]
                     except (KeyError, ValueError) as exc:
                         log(f"worker {worker_id}: detach {model}@"
                             f"{digest[:12]} refused: {exc}")
@@ -1266,7 +1164,8 @@ def run_cluster_worker(address: str, threads: Optional[int] = None,
     """
     from repro.serving.shm_store import HostModelCache
 
-    attachments_by_digest: Dict = {"__cache__": HostModelCache()}
+    cache = HostModelCache()
+    attachments_by_digest: Dict = {}
     code = 1
     try:
         while True:
@@ -1282,7 +1181,7 @@ def run_cluster_worker(address: str, threads: Optional[int] = None,
                 if not (isinstance(welcome, tuple) and welcome
                         and welcome[0] == "welcome"):
                     raise TransportClosed("router sent no welcome")
-                outcome = _serve_session(channel, welcome,
+                outcome = _serve_session(channel, welcome, cache,
                                          attachments_by_digest, threads, log,
                                          cli_backend=backend)
             except TransportClosed:
@@ -1301,7 +1200,6 @@ def run_cluster_worker(address: str, threads: Optional[int] = None,
                 break
             log("worker: connection lost; reconnecting")
     finally:
-        cache = attachments_by_digest.pop("__cache__")
         for attached in attachments_by_digest.values():
             attached.close()
         cache.close()

@@ -32,6 +32,14 @@ def micro_network(rng=0):
     return build_phonebit_network(micro_cnn_config(), rng=rng)
 
 
+def wait_until(predicate, timeout_s=WAIT_S, poll_s=0.01):
+    """Poll ``predicate`` until it holds; returns its last value."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(poll_s)
+    return predicate()
+
+
 # ---------------------------------------------------------------------------
 # shared-memory model store
 # ---------------------------------------------------------------------------
@@ -216,9 +224,14 @@ class TestClusterService:
             os.kill(victim.pid, signal.SIGKILL)
             outputs = [f.result(timeout=WAIT_S) for f in futures]
             assert len(outputs) == 32
-            detail = cluster.cluster_report()
-            assert detail.respawns == 1
-            assert detail.workers == 2  # replacement came up
+            # The death may surface as a lost link before the OS reaps the
+            # process; the respawn then lands a supervisor tick later and
+            # the replacement joins on its hello.
+            def replaced():
+                detail = cluster.cluster_report()
+                return detail.respawns == 1 and detail.workers == 2
+
+            assert wait_until(replaced)
             # Requeued work reran elsewhere: results still bit-identical.
             baseline = cluster.baseline_service()
             try:
@@ -226,6 +239,38 @@ class TestClusterService:
             finally:
                 baseline.close()
             assert np.array_equal(np.stack(outputs), base.outputs)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc to list a worker's descriptors")
+    def test_forked_worker_drops_router_sockets_and_sibling_redials(self):
+        """A worker forked after its siblings connected holds none of the
+        router's sockets (a copy would keep a sibling's link open past the
+        router's close), and a sibling whose link the router drops redials
+        and is re-admitted promptly."""
+        with make_cluster(workers=2) as cluster:
+            assert cluster.scale_up(1) == 1
+
+            def ready_workers():
+                with cluster._lock:
+                    return [w for w in cluster._workers.values() if w.ready]
+
+            assert wait_until(lambda: len(ready_workers()) == 3)
+            by_join = sorted(ready_workers(), key=lambda w: w.spawned_at)
+            victim, sibling = by_join[0], by_join[-1]
+            router_sockets = {
+                f"socket:[{os.fstat(sock.fileno()).st_ino}]"
+                for sock in list(cluster.transport._router_sockets)
+                if sock.fileno() >= 0
+            }
+            fd_dir = f"/proc/{sibling.pid}/fd"
+            held = {os.readlink(os.path.join(fd_dir, fd))
+                    for fd in os.listdir(fd_dir)}
+            assert not router_sockets & held
+
+            victim.endpoint.channel.close()
+            assert wait_until(lambda: any(
+                w.pid == victim.pid and w.worker_id != victim.worker_id
+                for w in ready_workers()), timeout_s=2.0)
 
     def test_no_replacement_left_fails_futures_instead_of_hanging(self):
         """Orphaned requests must resolve even when every respawn dies too."""

@@ -24,6 +24,7 @@ from repro.serving.shm_store import (
     ShmModelHandle,
     artifact_digest,
     attach_model,
+    cache_segment_name,
 )
 from repro.serving.transport import (
     Channel,
@@ -345,6 +346,59 @@ class TestHostModelCache:
             # Both attachers of each digest computed identical outputs.
             assert np.array_equal(results[0], results[2])
             assert np.array_equal(results[1], results[3])
+
+    def _remote_and_claim(self, store):
+        """A 'remote' handle plus an empty /dev/shm file under its cache
+        name: a claim caught between the publisher's shm_open and its
+        ftruncate."""
+        handle = self._published(store)
+        remote = ShmModelHandle(model=handle.model, shm_name="",
+                                nbytes=handle.nbytes, digest=handle.digest)
+        path = f"/dev/shm/{cache_segment_name(handle.digest)}"
+        open(path, "xb").close()
+        return remote, bytes(store.payload_view(handle.digest)), path
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+    def test_unsized_claim_is_waited_for_not_fatal(self):
+        with SharedModelStore() as store:
+            remote, raw, path = self._remote_and_claim(store)
+
+            def finish_publish():
+                time.sleep(0.1)
+                with open(path, "r+b", buffering=0) as segment:
+                    segment.truncate(remote.nbytes + 1)
+                    segment.write(raw)
+                    segment.write(b"\x01")  # ready flag, after the payload
+
+            publisher = threading.Thread(target=finish_publish)
+            publisher.start()
+            try:
+                with HostModelCache() as cache:
+                    attached = cache.attach(remote, fetch=lambda: pytest.fail(
+                        "a claimed digest must be waited for, not re-fetched"))
+                    assert cache.attach_log[-1][1] == "host-cache"
+                    attached.close()
+            finally:
+                publisher.join(timeout=WAIT_S)
+                os.unlink(path)
+            assert not publisher.is_alive()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+    def test_unsized_claim_of_dead_publisher_is_reclaimed(self):
+        with SharedModelStore() as store:
+            remote, raw, path = self._remote_and_claim(store)
+            fetches = []
+
+            def fetch():
+                fetches.append(1)
+                return raw
+
+            with HostModelCache(ready_timeout_s=0.2) as cache:
+                attached = cache.attach(remote, fetch=fetch)
+                assert cache.attach_log[-1][1] == "fetched"
+                attached.close()
+            assert fetches == [1]
+            assert not os.path.exists(path)  # the cache's own copy is gone
 
     def test_fetch_digest_mismatch_rejected(self):
         with SharedModelStore() as store:
