@@ -23,7 +23,7 @@ per plan step at warm time (``Network.warm`` / ``ModelPool`` /
 run both ways on a synthetic input covering its geometry — on that step's
 *actual* packed filters and thresholds — and the compiled result must
 equal the reference (the NumPy path; the layer interpreter for the input
-convolution and pools) bit for bit.  Any mismatch — or any
+convolution, pools and float heads) bit for bit.  Any mismatch — or any
 build/import failure — silently falls the step back to the NumPy path, so
 a missing compiler can never change results, only speed.
 ``ExecutionPlan.backend_report()`` says what each step runs on.
@@ -188,7 +188,7 @@ def verify_fused_step(impl, step, rng=None) -> bool:
     The step runs a synthetic input over its own geometry through
     ``impl``'s kernels — on its *actual* filters, thresholds and flips, in
     several row tiles — and through its reference (the NumPy path; the
-    layer interpreter for the input convolution and pools).
+    layer interpreter for the input convolution, pools and float heads).
     Returns True only on a bit-for-bit match.
     """
     rng = np.random.default_rng(33) if rng is None else rng

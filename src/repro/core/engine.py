@@ -433,8 +433,7 @@ class PhoneBitEngine:
         concurrent callers (e.g. the serving scheduler's worker threads) may
         share one engine and one network as long as the network's weights
         are not mutated mid-flight — layer forward passes only *read* layer
-        state, and the packed-weight caches tolerate concurrent lazy
-        initialization.
+        state (packed weights are replaced on assignment, never mutated).
 
         Examples
         --------

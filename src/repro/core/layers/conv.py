@@ -111,31 +111,18 @@ class _FusedBinaryConvBase(Layer):
     def weight_bits(self) -> np.ndarray:
         """Binary filter bank as bits of shape ``(KH, KW, Cin, Cout)``.
 
-        A layer constructed from already-packed weights (shared-memory
-        attach, see :meth:`adopt_packed_weights`) materializes the unpacked
-        bits lazily on first access; the fused execution path never needs
-        them, so a serving worker typically never pays the 8× expansion.
+        Derived from :attr:`weights_packed` on every read (read-only: assign
+        to change the weights).  Nothing on the execution path reads it,
+        so the layer never holds the 8× unpacked copy.
         """
-        token = self._weight_bits
-        if not isinstance(token, np.ndarray):  # packed-only sentinel
-            cached = self._unpacked_cache
-            if cached is not None and cached[0] is token:
-                return cached[1]
-            packed = self._packed_cache[1]
-            transposed = np.transpose(packed, (1, 2, 3, 0))  # (KH, KW, Wc, Cout)
-            bits = bitpack.unpack_bits(transposed, self.in_channels, axis=2)
-            bits.setflags(write=False)
-            # Cached beside — not in place of — the sentinel: swapping
-            # _weight_bits itself would invalidate the warm execution plan
-            # (its snapshots key on this attribute's identity) on a mere
-            # inspection read.
-            self._unpacked_cache = (token, bits)
-            return bits
-        return token
+        transposed = np.transpose(self._weights_packed, (1, 2, 3, 0))
+        bits = bitpack.unpack_bits(transposed, self.in_channels, axis=2)
+        bits.setflags(write=False)
+        return bits
 
     @weight_bits.setter
     def weight_bits(self, bits: np.ndarray) -> None:
-        bits = np.array(bits, dtype=np.uint8, copy=True)
+        bits = np.asarray(bits, dtype=np.uint8)
         expected = (
             self.kernel_size,
             self.kernel_size,
@@ -144,20 +131,17 @@ class _FusedBinaryConvBase(Layer):
         )
         if bits.shape != expected:
             raise ValueError(f"weight bits must have shape {expected}, got {bits.shape}")
-        # Copied above and frozen here so in-place edits cannot silently
-        # bypass the packed-weight cache invalidation; reassign to mutate.
-        bits.setflags(write=False)
-        self._weight_bits = bits
-        self._packed_cache = None
+        self.adopt_packed_weights(
+            binary_conv.pack_weights(bits, word_size=self.word_size)
+        )
 
     def adopt_packed_weights(self, packed: np.ndarray) -> None:
-        """Adopt an already-packed filter bank without copying it.
+        """Install a packed filter bank — the layer's only weight storage.
 
-        ``packed`` must be exactly what :attr:`weights_packed` would compute
-        — shape ``(Cout, KH, KW, words)`` in the layer's word dtype, packed
-        along the input-channel dimension.  The array is served as-is (a
-        shared-memory attach stays zero-copy) and frozen; the unpacked
-        :attr:`weight_bits` are materialized lazily if ever requested.
+        ``packed`` must be shape ``(Cout, KH, KW, words)`` in the layer's
+        word dtype, packed along the input-channel dimension (what
+        :func:`repro.core.binary_conv.pack_weights` returns).  The array is
+        served as-is (a shared-memory attach stays zero-copy) and frozen.
         """
         packed = np.asarray(packed)
         words = bitpack.words_per_channel(self.in_channels, self.word_size)
@@ -170,39 +154,15 @@ class _FusedBinaryConvBase(Layer):
             )
         if packed.flags.writeable:
             packed.setflags(write=False)
-        # A *fresh* sentinel per adoption: the execution-plan cache keys its
-        # validity on the identity of _weight_bits, so re-adopting new
-        # packed weights must change that identity or a stale plan would
-        # keep serving the old filters.
-        token = object()
-        self._weight_bits = token
-        self._packed_cache = (token, packed)
-        self._unpacked_cache = None
+        # Published as a fresh view: execution plans key their validity on
+        # the identity of weights_packed, so every assignment — even of the
+        # same array — must change it or a stale plan could keep serving.
+        self._weights_packed = packed.view()
 
     @property
     def weights_packed(self) -> np.ndarray:
-        """Packed filters, computed once per weight assignment and cached.
-
-        Repacking happens only when :attr:`weight_bits` is reassigned, so
-        repeated forward passes / ``engine.run()`` calls share one packed
-        copy instead of re-packing per call.
-
-        The cache entry carries the exact bits array it was packed from and
-        is only served when that array is still the layer's current weights.
-        This keeps the cache coherent without a lock even when a weight
-        reassignment lands while another thread (e.g. a serving scheduler
-        batch) is mid-pack: a packing result belonging to superseded weights
-        can be stored, but it can never be *served* for the new weights —
-        the identity check fails and the new weights are repacked.
-        Concurrent first reads may pack twice; both results are identical.
-        """
-        bits = self._weight_bits
-        cache = self._packed_cache
-        if cache is not None and cache[0] is bits:
-            return cache[1]
-        packed = binary_conv.pack_weights(bits, word_size=self.word_size)
-        self._packed_cache = (bits, packed)
-        return packed
+        """Packed filters ``(Cout, KH, KW, words)``: frozen, replaced on assignment."""
+        return self._weights_packed
 
     @property
     def uses_integrated_packing(self) -> bool:
@@ -249,8 +209,7 @@ class _FusedBinaryConvBase(Layer):
         return Tensor(self.affine_values(x1), Layout.NHWC)
 
     def param_count(self) -> ParamCount:
-        # Computed from the geometry (not weight_bits.size) so accounting
-        # never forces a packed-only layer to materialize unpacked bits.
+        # From the geometry: accounting never unpacks weight_bits.
         weights = self.kernel_size ** 2 * self.in_channels * self.out_channels
         binary = weights + self.out_channels  # weights + γ signs
         return ParamCount(binary=binary, float32=self.out_channels)  # thresholds ξ

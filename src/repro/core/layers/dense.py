@@ -89,50 +89,31 @@ class BinaryDense(Layer):
     def weight_bits(self) -> np.ndarray:
         """Binary weight matrix as bits of shape ``(in_features, out_features)``.
 
-        A layer constructed from already-packed weights (shared-memory
-        attach, see :meth:`adopt_packed_weights`) materializes the unpacked
-        bits lazily on first access; the execution path never needs them.
+        Derived from :attr:`weights_packed` on every read (read-only: assign
+        to change the weights); the execution path never reads it.
         """
-        token = self._weight_bits
-        if not isinstance(token, np.ndarray):  # packed-only sentinel
-            cached = self._unpacked_cache
-            if cached is not None and cached[0] is token:
-                return cached[1]
-            packed = self._packed_cache[1]
-            bits = bitpack.unpack_bits(
-                np.ascontiguousarray(packed.T), self.in_features, axis=0
-            )
-            bits.setflags(write=False)
-            # Cached beside — not in place of — the sentinel: swapping
-            # _weight_bits itself would invalidate the warm execution plan
-            # (its snapshots key on this attribute's identity) on a mere
-            # inspection read.
-            self._unpacked_cache = (token, bits)
-            return bits
-        return token
+        bits = bitpack.unpack_bits(
+            np.ascontiguousarray(self._weights_packed.T), self.in_features, axis=0
+        )
+        bits.setflags(write=False)
+        return bits
 
     @weight_bits.setter
     def weight_bits(self, bits: np.ndarray) -> None:
-        bits = np.array(bits, dtype=np.uint8, copy=True)
+        bits = np.asarray(bits, dtype=np.uint8)
         if bits.shape != (self.in_features, self.out_features):
             raise ValueError(
                 f"weight bits must have shape {(self.in_features, self.out_features)}, "
                 f"got {bits.shape}"
             )
-        # Copied above and frozen here so in-place edits cannot silently
-        # bypass the packed-weight cache invalidation; reassign to mutate.
-        bits.setflags(write=False)
-        self._weight_bits = bits
-        self._packed_cache = None
+        self.adopt_packed_weights(_pack_dense_weights(bits, self.word_size))
 
     def adopt_packed_weights(self, packed: np.ndarray) -> None:
-        """Adopt an already-packed weight matrix without copying it.
+        """Install a packed weight matrix — the layer's only weight storage.
 
-        ``packed`` must be exactly what :attr:`weights_packed` would compute
-        — shape ``(out_features, words)`` in the layer's word dtype, packed
-        along the input-feature dimension.  The array is served as-is (a
-        shared-memory attach stays zero-copy) and frozen; the unpacked
-        :attr:`weight_bits` are materialized lazily if ever requested.
+        ``packed`` must be shape ``(out_features, words)`` in the layer's
+        word dtype, packed along the input-feature dimension.  The array is
+        served as-is (a shared-memory attach stays zero-copy) and frozen.
         """
         packed = np.asarray(packed)
         words = bitpack.words_per_channel(self.in_features, self.word_size)
@@ -145,32 +126,14 @@ class BinaryDense(Layer):
             )
         if packed.flags.writeable:
             packed.setflags(write=False)
-        # A *fresh* sentinel per adoption: the execution-plan cache keys its
-        # validity on the identity of _weight_bits, so re-adopting new
-        # packed weights must change that identity or a stale plan would
-        # keep serving the old filters.
-        token = object()
-        self._weight_bits = token
-        self._packed_cache = (token, packed)
-        self._unpacked_cache = None
+        # A fresh view per assignment: plans key their validity on the
+        # identity of weights_packed (see the conv layers).
+        self._weights_packed = packed.view()
 
     @property
     def weights_packed(self) -> np.ndarray:
-        """Weights packed along the input-feature dimension: (out_features, n_words).
-
-        Packed once per weight assignment and cached; repeated forward
-        passes reuse the cached copy.  As with the conv layers, the cache
-        entry carries the bits array it was packed from and is only served
-        while that array is still current, so a reassignment landing while
-        another thread is mid-pack can never leave the cache stale.
-        """
-        bits = self._weight_bits
-        cache = self._packed_cache
-        if cache is not None and cache[0] is bits:
-            return cache[1]
-        packed = _pack_dense_weights(bits, self.word_size)
-        self._packed_cache = (bits, packed)
-        return packed
+        """Weights packed along the input-feature dimension: (out_features, n_words)."""
+        return self._weights_packed
 
     def output_shape(self, input_shape: tuple) -> tuple:
         features = int(np.prod(input_shape))
@@ -222,8 +185,7 @@ class BinaryDense(Layer):
         return Tensor(self.affine_values(x1), Layout.NHWC)
 
     def param_count(self) -> ParamCount:
-        # Computed from the geometry (not weight_bits.size) so accounting
-        # never forces a packed-only layer to materialize unpacked bits.
+        # From the geometry: accounting never unpacks weight_bits.
         binary = self.in_features * self.out_features + self.out_features
         return ParamCount(binary=binary, float32=self.out_features)
 

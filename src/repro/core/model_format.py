@@ -28,7 +28,6 @@ from typing import BinaryIO, Dict, List, Tuple
 
 import numpy as np
 
-from repro.core import bitpack
 from repro.core.fusion import BatchNormParams
 from repro.core.layers import (
     AvgPool2d,
@@ -86,17 +85,6 @@ def _bn_from_affine(scale: np.ndarray, offset: np.ndarray) -> BatchNormParams:
     )
 
 
-def _unpack_conv_weights(weights_packed: np.ndarray, in_channels: int) -> np.ndarray:
-    """Invert :func:`repro.core.binary_conv.pack_weights`."""
-    transposed = np.transpose(weights_packed, (1, 2, 3, 0))  # (KH, KW, Wc, Cout)
-    return bitpack.unpack_bits(transposed, in_channels, axis=2)
-
-
-def _unpack_dense_weights(weights_packed: np.ndarray, in_features: int) -> np.ndarray:
-    """Invert the packing used by :class:`BinaryDense`."""
-    return bitpack.unpack_bits(np.ascontiguousarray(weights_packed.T), in_features, axis=0)
-
-
 def _serialize_binary_conv(layer) -> Tuple[dict, Dict[str, np.ndarray]]:
     config = {
         "in_channels": layer.in_channels,
@@ -124,14 +112,7 @@ def _serialize_binary_conv(layer) -> Tuple[dict, Dict[str, np.ndarray]]:
     return config, arrays
 
 
-def _deserialize_binary_conv(cls, name, config, arrays, zero_copy=False):
-    weights_packed = arrays["weights_packed"]
-    if zero_copy:
-        weight_kwargs = {"weights_packed": weights_packed}
-    else:
-        weight_kwargs = {
-            "weight_bits": _unpack_conv_weights(weights_packed, config["in_channels"])
-        }
+def _deserialize_binary_conv(cls, name, config, arrays):
     if config["output_binary"]:
         bn = _bn_from_threshold(arrays["threshold"], arrays["gamma"])
         bias = None
@@ -152,7 +133,7 @@ def _deserialize_binary_conv(cls, name, config, arrays, zero_copy=False):
         batchnorm=bn,
         bias=bias,
         name=name,
-        **weight_kwargs,
+        weights_packed=arrays["weights_packed"],
         **kwargs,
     )
 
@@ -178,15 +159,7 @@ def _serialize_binary_dense(layer: BinaryDense) -> Tuple[dict, Dict[str, np.ndar
     return config, arrays
 
 
-def _deserialize_binary_dense(name, config, arrays, zero_copy=False) -> BinaryDense:
-    if zero_copy:
-        weight_kwargs = {"weights_packed": arrays["weights_packed"]}
-    else:
-        weight_kwargs = {
-            "weight_bits": _unpack_dense_weights(
-                arrays["weights_packed"], config["in_features"]
-            )
-        }
+def _deserialize_binary_dense(name, config, arrays) -> BinaryDense:
     if config["output_binary"]:
         bn = _bn_from_threshold(arrays["threshold"], arrays["gamma"])
     else:
@@ -198,7 +171,7 @@ def _deserialize_binary_dense(name, config, arrays, zero_copy=False) -> BinaryDe
         output_binary=config["output_binary"],
         batchnorm=bn,
         name=name,
-        **weight_kwargs,
+        weights_packed=arrays["weights_packed"],
     )
 
 
@@ -260,11 +233,11 @@ def _layer_record(layer) -> Tuple[str, dict, Dict[str, np.ndarray]]:
 
 
 def _build_layer(type_name: str, name: str, config: dict,
-                 arrays: Dict[str, np.ndarray], zero_copy: bool = False):
+                 arrays: Dict[str, np.ndarray]):
     if type_name == "input_conv2d":
-        return _deserialize_binary_conv(InputConv2d, name, config, arrays, zero_copy)
+        return _deserialize_binary_conv(InputConv2d, name, config, arrays)
     if type_name == "binary_conv2d":
-        return _deserialize_binary_conv(BinaryConv2d, name, config, arrays, zero_copy)
+        return _deserialize_binary_conv(BinaryConv2d, name, config, arrays)
     if type_name == "float_conv2d":
         return FloatConv2d(
             config["in_channels"], config["out_channels"], config["kernel_size"],
@@ -273,7 +246,7 @@ def _build_layer(type_name: str, name: str, config: dict,
             weights=arrays["weights"], bias=arrays["bias"], name=name,
         )
     if type_name == "binary_dense":
-        return _deserialize_binary_dense(name, config, arrays, zero_copy)
+        return _deserialize_binary_dense(name, config, arrays)
     if type_name == "dense":
         return Dense(
             config["in_features"], config["out_features"],
@@ -407,8 +380,9 @@ def load_network_from_buffer(buffer, zero_copy: bool = False) -> Network:
         complete ``.pbit`` image.
     zero_copy:
         When True, the packed binary weights of conv/dense layers are
-        *views* into ``buffer`` — nothing is unpacked or copied, which is
-        how cluster workers attach to the shared-memory model store.  The
+        *views* into ``buffer`` — nothing is copied, which is how cluster
+        workers attach to the shared-memory model store.  Either way the
+        layers adopt the packed words as stored; nothing is unpacked.  The
         caller must keep the underlying buffer alive (and should keep it
         unmodified) for the lifetime of the returned network; weight arrays
         are frozen read-only.  Small per-channel vectors (thresholds, γ,
@@ -448,8 +422,7 @@ def load_network_from_buffer(buffer, zero_copy: bool = False) -> Network:
                 array = array.copy()
             arrays[array_name] = array
         layers.append(
-            _build_layer(entry["type"], entry["name"], entry["config"], arrays,
-                         zero_copy=zero_copy)
+            _build_layer(entry["type"], entry["name"], entry["config"], arrays)
         )
     return Network(
         header["name"],

@@ -134,19 +134,17 @@ class Network:
 
     # ------------------------------------------------------------- warm-up
     def warm(self, backend: "str | None" = None) -> "Network":
-        """Pre-populate every lazy cache (returns self).
+        """Compile the execution plan ahead of the first request (returns self).
 
-        Packs binary weights, compiles the fused execution plan (integer
-        thresholds, arena layout — see :mod:`repro.core.plan`) *and*
-        attaches compiled kernel backends to the plan's fused steps
-        (``backend`` is a :data:`repro.core.backends.BACKEND_CHOICES` spec;
-        ``None`` uses the process default), so a serving system pays build,
-        compile and per-step verification costs at load time rather than on
-        the first request.  Safe to call repeatedly — packed layers, a
-        still-current plan and an unchanged backend spec are no-ops.
+        Compiles the fused execution plan (integer thresholds, arena
+        layout — see :mod:`repro.core.plan`) *and* attaches compiled
+        kernel backends to the plan's lowered steps (``backend`` is a
+        :data:`repro.core.backends.BACKEND_CHOICES` spec; ``None`` uses the
+        process default), so a serving system pays compile and per-step
+        verification costs at load time rather than on the first request.
+        Safe to call repeatedly — a still-current plan and an unchanged
+        backend spec are no-ops.
         """
-        for layer in self.layers:
-            getattr(layer, "weights_packed", None)
         from repro.core import plan as plan_mod  # local import: plan builds on layers
 
         plan_mod.get_plan(self).select_backend(backend)

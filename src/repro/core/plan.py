@@ -15,8 +15,11 @@ An :class:`ExecutionPlan` compiles the network once instead:
   tests the raw disagreement count and emits packed bits directly, so
   neither the ±1 pre-activation ``x1`` nor any unpacked/float intermediate
   is ever materialized between binary blocks.  On a packed stream
-  ``MaxPool2d`` (bitwise OR of packed words) is lowered too; its NumPy
-  path is the layer's own ``forward``.
+  ``MaxPool2d`` (bitwise OR of packed words), ``Flatten`` (a zero-copy
+  reshape when words hold whole pixels) and the *float heads* — binary
+  layers with ``output_binary=False``, whose xor-popcount GEMM feeds the
+  layer's own batch-norm affine — are lowered too; the NumPy path of a
+  pool or head is the layer's own ``forward``.
 * **Arena memory planning** — activations in a sequential chain die as soon
   as the next step has consumed them, so fused outputs ping-pong between
   two arena slots and all patch gathers share one scratch slot.  Arenas are
@@ -28,10 +31,9 @@ An :class:`ExecutionPlan` compiles the network once instead:
   engine's ``num_threads``) controls the fan-out; the default is
   ``os.cpu_count()``.
 
-Plans are cached on the network (:func:`get_plan`) and — like the layers'
-packed-weight caches — validated by identity snapshots of every array they
-were compiled from, so a weight or batch-norm reassignment can never be
-served by a stale plan.  Layers whose pattern does not match run through
+Plans are cached on the network (:func:`get_plan`) and validated by
+identity snapshots of every array they were compiled from, so a weight or
+batch-norm reassignment can never be served by a stale plan.  Layers whose pattern does not match run through
 their ordinary ``forward`` as fallback steps; plan outputs are bit-identical
 to ``Network.forward`` by construction (enforced by tests and the
 ``bench_fused_exec`` benchmark).
@@ -56,6 +58,7 @@ from repro.core.layers import (
     Binarize,
     BinaryConv2d,
     BinaryDense,
+    Flatten,
     InputConv2d,
     MaxPool2d,
 )
@@ -341,6 +344,45 @@ def _packed_conv_input(layer, x: Tensor) -> np.ndarray:
     return packed
 
 
+def _packed_dense_input(layer, x: Tensor) -> np.ndarray:
+    """The packed feature rows a binary dense layer consumes (validated)."""
+    if x.packed:
+        if x.data.ndim != 2:
+            raise ValueError(f"{layer.name}: packed input must be flattened first")
+        packed = x.data
+        features = x.true_channels
+    else:
+        data = np.asarray(x.data).reshape(x.data.shape[0], -1)
+        bits = binarize_sign(data)
+        packed = bitpack.pack_bits(bits, word_size=layer.word_size, axis=1)
+        features = data.shape[1]
+    if features != layer.in_features:
+        raise ValueError(
+            f"{layer.name}: expected {layer.in_features} input features, "
+            f"got {features}"
+        )
+    return np.ascontiguousarray(packed)
+
+
+def _packed_conv_probe(layer, rng) -> Tensor:
+    """Random packed activations over a binary convolution's geometry."""
+    side = _probe_extent(layer.kernel_size, layer.stride, layer.padding)
+    wc_in = bitpack.words_per_channel(layer.in_channels, layer.word_size)
+    return Tensor(
+        _random_packed(rng, (2, side, side, wc_in), layer.word_size),
+        Layout.NHWC, packed=True, true_channels=layer.in_channels,
+    )
+
+
+def _packed_dense_probe(layer, rng) -> Tensor:
+    """Random packed feature rows over a binary dense layer's width."""
+    n_words = bitpack.words_per_channel(layer.in_features, layer.word_size)
+    return Tensor(
+        _random_packed(rng, (9, n_words), layer.word_size), Layout.NHWC,
+        packed=True, true_channels=layer.in_features,
+    )
+
+
 def _conv_patches(layer, packed: np.ndarray, ctx: _ExecContext, compiled):
     """Patch matrix of a packed convolution input: ``(patches, gather, oh, ow)``.
 
@@ -411,10 +453,11 @@ class FusedConvStep(_FusedStepBase):
             # model the paper's GPU popcount path and survive as the
             # layerwise reference).  A compiled backend computes the same
             # integers in int32 straight from the uint8 image.
+            bits = bitpack.unpack_bits(
+                self.weights_packed, layer.in_channels, axis=-1
+            ).reshape(layer.out_channels, -1)  # (Cout, KH·KW·Cin)
             self.float_weights = np.ascontiguousarray(
-                (2.0 * layer.weight_bits.astype(np.float64) - 1.0).reshape(
-                    -1, layer.out_channels
-                )
+                (2.0 * bits.astype(np.float64) - 1.0).T
             )
         else:
             self.flat_filters = np.ascontiguousarray(
@@ -451,13 +494,9 @@ class FusedConvStep(_FusedStepBase):
 
     def probe_input(self, rng) -> Tensor:
         layer = self.layer
-        side = _probe_extent(layer.kernel_size, layer.stride, layer.padding)
         if not self.is_input_conv:
-            wc_in = bitpack.words_per_channel(layer.in_channels, layer.word_size)
-            return Tensor(
-                _random_packed(rng, (2, side, side, wc_in), layer.word_size),
-                Layout.NHWC, packed=True, true_channels=layer.in_channels,
-            )
+            return _packed_conv_probe(layer, rng)
+        side = _probe_extent(layer.kernel_size, layer.stride, layer.padding)
         image = rng.integers(
             0, 1 << min(layer.input_bits, 8),
             size=(2, side, side, layer.in_channels), dtype=np.uint8,
@@ -601,33 +640,13 @@ class FusedDenseStep(_FusedStepBase):
         return impl.prepare_filters(self.weights_packed)
 
     def probe_input(self, rng) -> Tensor:
-        layer = self.layer
-        n_words = bitpack.words_per_channel(layer.in_features, layer.word_size)
-        return Tensor(
-            _random_packed(rng, (9, n_words), layer.word_size), Layout.NHWC,
-            packed=True, true_channels=layer.in_features,
-        )
+        return _packed_dense_probe(self.layer, rng)
 
     def execute(self, x: Tensor, ctx: _ExecContext, compiled, operands) -> Tensor:
         layer = self.layer
-        if x.packed:
-            if x.data.ndim != 2:
-                raise ValueError(f"{layer.name}: packed input must be flattened first")
-            packed = x.data
-            features = x.true_channels
-        else:
-            data = np.asarray(x.data).reshape(x.data.shape[0], -1)
-            bits = binarize_sign(data)
-            packed = bitpack.pack_bits(bits, word_size=layer.word_size, axis=1)
-            features = data.shape[1]
-        if features != layer.in_features:
-            raise ValueError(
-                f"{layer.name}: expected {layer.in_features} input features, "
-                f"got {features}"
-            )
+        packed = _packed_dense_input(layer, x)
         if packed.shape[1] != self.weights_packed.shape[1]:
             raise ValueError("operand packing widths do not match")
-        packed = np.ascontiguousarray(packed)
         rows = packed.shape[0]
         wc_out = bitpack.words_per_channel(layer.out_features, self.out_word_size)
         out = ctx.arena.view(
@@ -708,6 +727,115 @@ class PackedPoolStep(_LoweredStep):
                       packed=True, true_channels=x.true_channels)
 
 
+class FloatHeadStep(_LoweredStep):
+    """A binary conv/dense layer with a float output (``output_binary=False``).
+
+    The last binary layer of a network feeds a float layer, so there is no
+    threshold to fuse — but its xor-popcount GEMM still runs compiled, into
+    an int64 arena slot, followed by ``x1 = L − 2·d`` and the layer's own
+    :meth:`affine_values`.  The NumPy path — and the reference a compiled
+    kernel is probed against — is the layer's ``forward``.
+    """
+
+    def __init__(self, layer, layer_index: int) -> None:
+        super().__init__(layer, layer_index, layer_index + 1)
+        self.is_dense = isinstance(layer, BinaryDense)
+        if self.is_dense:
+            self.length, self.cols = layer.in_features, layer.out_features
+        else:
+            self.length = layer.kernel_size ** 2 * layer.in_channels
+            self.cols = layer.out_channels
+        self.weights_packed = layer.weights_packed  # compile-time snapshot
+
+    @property
+    def describe(self) -> str:
+        layer = self.layer
+        if self.is_dense:
+            shape = f"dense {layer.name}: {layer.in_features}→{layer.out_features}"
+        else:
+            shape = (
+                f"conv {layer.name}: {layer.in_channels}→{layer.out_channels} "
+                f"k{layer.kernel_size} s{layer.stride} p{layer.padding}"
+            )
+        return f"float-head(xor-popcount) {shape}, float32 out"
+
+    def lower(self, impl):
+        return impl.prepare_filters(
+            np.ascontiguousarray(self.weights_packed.reshape(self.cols, -1))
+        )
+
+    def probe_input(self, rng) -> Tensor:
+        if self.is_dense:
+            return _packed_dense_probe(self.layer, rng)
+        return _packed_conv_probe(self.layer, rng)
+
+    def execute(self, x: Tensor, ctx: _ExecContext, compiled, operands) -> Tensor:
+        layer = self.layer
+        if compiled is None:
+            return layer.forward(x)
+        if self.is_dense:
+            patches, gather = _packed_dense_input(layer, x), None
+            out_shape = (patches.shape[0], self.cols)
+        else:
+            packed = _packed_conv_input(layer, x)
+            patches, gather, oh, ow = _conv_patches(layer, packed, ctx, compiled)
+            out_shape = (packed.shape[0], oh, ow, self.cols)
+        rows = patches.shape[0]
+        acc = ctx.arena.view("acc", (rows, self.cols), np.int64)
+
+        def work(r0: int, r1: int) -> None:
+            if gather is not None:
+                gather(r0, r1)
+            compiled.xor_popcount_gemm_rows(patches, operands, acc, r0, r1)
+
+        ctx.run_tiles(rows, work, self.cols * operands.n_bytes)
+        np.multiply(acc, -2, out=acc)  # x1 = L − 2·d, in place
+        acc += self.length
+        return Tensor(layer.affine_values(acc).reshape(out_shape), Layout.NHWC)
+
+
+class PackedFlattenStep(_LoweredStep):
+    """``Flatten`` of a packed stream whose words each hold whole pixels.
+
+    When the channel count is a multiple of the stream's word size and
+    ``Flatten`` repacks with that same word size, unpack → flatten →
+    repack rewrites every word unchanged (pack order is little-endian
+    within a word, channels-last across words), so the step is a
+    zero-copy reshape.  ``Flatten.forward`` is the probe reference.
+    """
+
+    def __init__(self, layer, layer_index: int, in_shape) -> None:
+        super().__init__(layer, layer_index, layer_index + 1)
+        self.in_shape = tuple(in_shape)
+        self.features = math.prod(self.in_shape)
+
+    @property
+    def describe(self) -> str:
+        return (
+            f"packed flatten(reshape) {self.layer.name}: {self.in_shape} → "
+            f"{self.features} features, w{self.layer.word_size} words"
+        )
+
+    def lower(self, impl):
+        return ()  # a reshape needs no kernel
+
+    def probe_input(self, rng) -> Tensor:
+        word_size = self.layer.word_size
+        words = self.in_shape[-1] // word_size
+        return Tensor(
+            _random_packed(rng, (2,) + self.in_shape[:-1] + (words,), word_size),
+            Layout.NHWC, packed=True, true_channels=self.in_shape[-1],
+        )
+
+    def reference(self, x: Tensor) -> np.ndarray:
+        return self.layer.forward(x).data
+
+    def execute(self, x: Tensor, ctx: _ExecContext, compiled, operands) -> Tensor:
+        data = x.data
+        return Tensor(data.reshape(data.shape[0], -1), Layout.NHWC,
+                      packed=True, true_channels=self.features)
+
+
 class ExecutionPlan:
     """A compiled network: fused steps + arena pool + thread fan-out.
 
@@ -715,8 +843,8 @@ class ExecutionPlan:
     (packed weights, thresholds, batch-norm parameters); :meth:`is_current`
     checks those identities so :func:`get_plan` can transparently recompile
     after a weight or batch-norm reassignment — a stale plan is never
-    executed (same lock-free snapshot discipline as the layers'
-    packed-weight caches).
+    executed.  Layers publish new weights as new arrays, never in place,
+    so the identity check needs no lock.
     """
 
     def __init__(self, network, steps: Sequence[object],
@@ -917,7 +1045,7 @@ def _fused_attr_snapshots(step) -> List[Tuple[object, str, object]]:
     """Identity snapshots of everything a fused step's lowering depends on."""
     layer = step.layer
     snapshots = [
-        (layer, "_weight_bits", layer._weight_bits),
+        (layer, "weights_packed", step.weights_packed),
         (layer, "batchnorm", layer.batchnorm),
         (layer, "bias", layer.bias),
         (layer, "threshold", layer.threshold),
@@ -935,8 +1063,8 @@ def compile_plan(network) -> ExecutionPlan:
     per_sample_peak = 0
     fused_index = 0
     #: Packing word width of the activation stream entering layer ``i``, or
-    #: ``None`` where it is (or may be) unpacked.  Pools are only lowered
-    #: on a stream known to be packed.
+    #: ``None`` where it is (or may be) unpacked.  Pools, flattens and
+    #: float heads are only lowered on a stream known to be packed.
     stream_word_size: Optional[int] = None
     i = 0
     while i < len(layers):
@@ -950,6 +1078,19 @@ def compile_plan(network) -> ExecutionPlan:
                 step = PackedPoolStep(layer, i, in_shape[2], stream_word_size,
                                       f"act{fused_index % 2}")
                 fused_index += 1
+            elif stream_word_size is not None and isinstance(layer, Flatten):
+                if (layer.word_size == stream_word_size
+                        and in_shape[-1] % stream_word_size == 0):
+                    step = PackedFlattenStep(layer, i, in_shape)
+                else:
+                    step = LayerStep(layer, i)
+                stream_word_size = layer.word_size  # Flatten repacks
+            elif (isinstance(layer, (BinaryConv2d, BinaryDense))
+                  and stream_word_size == layer.word_size):
+                # output_binary=False (a binary output matched a block).
+                step = FloatHeadStep(layer, i)
+                snapshots.extend(_fused_attr_snapshots(step))
+                stream_word_size = None
             else:
                 step = LayerStep(layer, i)
                 stream_word_size = None
@@ -1025,8 +1166,7 @@ def get_plan(network) -> ExecutionPlan:
     The cached plan is revalidated against the network's current layer and
     parameter identities on every call; a reassignment (weights, batch-norm,
     layer list) triggers a transparent recompile.  Concurrent first calls
-    may compile twice — both results are identical and the last store wins,
-    mirroring the packed-weight caches' lock-free discipline.
+    may compile twice — both results are identical and the last store wins.
 
     Examples
     --------

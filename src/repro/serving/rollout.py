@@ -90,13 +90,14 @@ class RolloutConfig:
     #: Auto-rollback when mean canary latency exceeds this multiple of
     #: mean stable latency (requires ``min_canary_samples`` samples).
     latency_factor: float = 3.0
-    #: Per-phase deadlines; expiry rolls back (never hangs forever).
+    #: Per-phase deadlines; expiry rolls back (never hangs forever).  The
+    #: canary deadline includes waiting for promotion after the gate passed.
     staging_timeout_s: float = 60.0
     canary_timeout_s: float = 120.0
     promote_timeout_s: float = 60.0
     #: Promote automatically once the canary gate passes.  With
     #: ``False`` the rollout waits in canary for an explicit
-    #: :meth:`RolloutController.begin_promote`.
+    #: :meth:`RolloutController.begin_promote` (until ``canary_timeout_s``).
     auto_promote: bool = True
 
     def validate(self) -> None:
@@ -372,16 +373,19 @@ class RolloutController:
                          f" vs stable "
                          f"{_mean(stats.stable_latency_sum_s, stats.samples):.6f}s")
                 return "rollback"
-            if verdict == "promote":
-                if self.config.auto_promote:
-                    return "promote"
-                return None
+            # The deadline covers the whole phase: a canary that passed but
+            # was never promoted (shell crashed between decide() and
+            # begin_promote(), or no operator promote) must not wedge.
             if in_phase_s > self.config.canary_timeout_s:
+                waited = f"canary timed out after {in_phase_s:.1f}s"
                 self._roll_back(
-                    f"canary timed out after {in_phase_s:.1f}s with "
-                    f"{self._canary.samples}/"
+                    f"{waited}: passed but never promoted"
+                    if verdict == "promote" else
+                    f"{waited} with {self._canary.samples}/"
                     f"{self.config.min_canary_samples} samples")
                 return "rollback"
+            if verdict == "promote" and self.config.auto_promote:
+                return "promote"
             return None
         # promoting
         if in_phase_s > self.config.promote_timeout_s:

@@ -4,8 +4,20 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.fusion import BatchNormParams
+
+#: Hypothesis budgets live here, not on the tests.  ``tier1`` (the
+#: default) replays the same derandomized examples on every run, so the
+#: suite is deterministic; ``fuzz`` (``--hypothesis-profile=fuzz``, the
+#: property-fuzz CI job) draws fresh random examples at 20× the budget —
+#: each counterexample it finds lands as an ``@example`` on its test.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None, max_examples=100)
+settings.register_profile("fuzz", database=None, deadline=None,
+                          max_examples=2000)
+settings.load_profile("tier1")
 
 
 def pytest_configure(config):

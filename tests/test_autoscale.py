@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.serving import (
@@ -99,7 +99,6 @@ class TestRouterAccounting:
         # Pinned to 2 of 8 workers: the drain horizon is 4x longer.
         assert pinned == pytest.approx(4.0 * fleet)
 
-    @settings(max_examples=150, deadline=None)
     @given(st.lists(
         st.tuples(
             st.sampled_from(["add", "acquire", "force", "release",

@@ -14,13 +14,15 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core import backends, binary_conv, bitpack
 from repro.core import plan as plan_mod
 from repro.core.backends import cffi_backend, tuner
 from repro.core.engine import PhoneBitEngine
-from repro.core.layers import InputConv2d, MaxPool2d
+from repro.core.layers import (
+    BinaryConv2d, BinaryDense, Flatten, InputConv2d, MaxPool2d,
+)
 from repro.core.network import Network
 from repro.core.tensor import Layout, Tensor
 from repro.core.plan import default_num_threads, positive_int
@@ -231,7 +233,6 @@ class TestMicroKernel:
         with pytest.raises(ValueError):  # mismatched packing widths
             kernel.xor_popcount_gemm_rows(a, b[:, :-1].copy(), got, 0, 13)
 
-    @settings(max_examples=40, deadline=None)
     @given(
         rows=st.integers(1, 9), cols=st.integers(1, 40),
         n_bytes=st.integers(1, 80), seed=st.integers(0, 2 ** 16),
@@ -337,6 +338,68 @@ class TestPackedPoolKernel:
                                      got, r0, r1)
         np.testing.assert_array_equal(got.reshape(expected.data.shape),
                                       expected.data)
+
+
+class TestFloatHeadStep:
+    """Lowered float heads (binary conv/dense, ``output_binary=False``)."""
+
+    @staticmethod
+    def _head_network(kind, random_batchnorm):
+        """conv1 packs the stream; the head follows (via Flatten for dense).
+
+        ``dense-reshape`` flattens 64 channels (a zero-copy reshape),
+        ``dense-repack`` 70 (``Flatten.forward`` repacks); 21 head columns
+        leave a partial 16-filter block.
+        """
+        channels = 64 if kind == "dense-reshape" else 70
+        net = Network(f"head-{kind}", input_shape=(9, 9, 3), input_dtype="uint8")
+        net.add(InputConv2d(3, channels, 3, padding=1, rng=1, name="conv1",
+                            batchnorm=random_batchnorm(channels, seed=1)))
+        if kind == "conv":
+            net.add(BinaryConv2d(channels, 21, 3, stride=2, padding=1,
+                                 output_binary=False, rng=2, name="head",
+                                 batchnorm=random_batchnorm(21, seed=2)))
+        else:
+            net.add(Flatten(name="flatten"))
+            net.add(BinaryDense(81 * channels, 21, output_binary=False, rng=2,
+                                name="head", batchnorm=random_batchnorm(21, seed=2)))
+        return net
+
+    @pytest.mark.parametrize("isa", cffi_backend.ISA_BODIES)
+    @pytest.mark.parametrize("kind", ["conv", "dense-reshape", "dense-repack"])
+    @pytest.mark.parametrize("batch_size", [1, 8, 64])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_forward(self, isa, kind, batch_size, threads,
+                             random_batchnorm, rng):
+        kernel = isa_impl(isa)
+        network = self._head_network(kind, random_batchnorm)
+        plan = plan_mod.compile_plan(network)
+        assert isinstance(plan.steps[-1], plan_mod.FloatHeadStep)
+        assert isinstance(plan.steps[-2], plan_mod.PackedFlattenStep) == (
+            kind == "dense-reshape")
+        probe_rng = np.random.default_rng(0)
+        for step in plan.steps:
+            if step.fused:  # pin every lowered step to this ISA body
+                operands = step.verify(kernel, probe_rng)
+                assert operands is not None, step.describe
+                step.adopt(kernel, operands)
+        images = rng.integers(0, 256, size=(batch_size, 9, 9, 3), dtype=np.uint8)
+        expected = network.forward(images).data
+        # 16-row tiles: several tiles per step, so two threads fan out.
+        got = plan.execute(images, threads=threads, row_tile=16).data
+        assert got.dtype == expected.dtype == np.float32
+        np.testing.assert_array_equal(got, expected)
+
+    def test_paper_nets_leave_only_float_layers_on_numpy(self):
+        name, _ = compiled_impl()
+        for model in ("AlexNet", "VGG16", "YOLOv2 Tiny"):
+            plan = plan_mod.get_plan(zoo_network(model))
+            report = plan.select_backend(name)
+            on_numpy = [key for key, value in report.items() if value == "numpy"]
+            assert on_numpy and all(
+                "layer Dense(" in key or "layer FloatConv2d(" in key
+                for key in on_numpy), (model, on_numpy)
+            plan.select_backend("numpy")
 
 
 class TestPlanMatchesInterpreter:
@@ -523,8 +586,10 @@ class TestFallback:
         plan = plan_mod.get_plan(network)
         plan.select_backend("numpy")
         kernel_of = {  # first match wins
+            "float-head": "xor_popcount_gemm_rows",
             "input-conv": "input_conv_threshold_rows",
             "max-pool": "packed_maxpool_rows",
+            "flatten(reshape)": None,  # runs no kernel: nothing to corrupt
             "conv(": "fused_xor_threshold_rows",
             "dense(": "fused_xor_threshold_rows",
         }
@@ -535,18 +600,21 @@ class TestFallback:
             kind = next(k for k in kernel_of if k in step.describe)
             seen.add(kind)
             assert backends.verify_fused_step(impl, step)
-            assert not backends.verify_fused_step(
-                Broken(impl, kernel_of[kind]), step)
-        assert {"input-conv", "conv(", "max-pool"} <= seen
+            if kernel_of[kind] is not None:
+                assert not backends.verify_fused_step(
+                    Broken(impl, kernel_of[kind]), step)
+        assert {"input-conv", "conv(", "max-pool", "float-head",
+                "flatten(reshape)"} <= seen
 
-        # Whole-plan selection with a wrong input-conv and a wrong pool
+        # Whole-plan selection with a wrong input-conv, pool or plain GEMM
         # kernel: exactly those steps stay on NumPy, the rest adopt the
         # backend, and the plan's output is unchanged.
         images = rng.integers(
             0, 256, size=(4,) + tuple(network.input_shape)).astype(np.uint8)
         expected = network.forward(images).data
         for kernel, marker in (("input_conv_threshold_rows", "input-conv"),
-                               ("packed_maxpool_rows", "max-pool")):
+                               ("packed_maxpool_rows", "max-pool"),
+                               ("xor_popcount_gemm_rows", "float-head")):
             broken = Broken(impl, kernel)
             monkeypatch.setattr(backends, "resolve_backend",
                                 lambda spec, b=broken: ("broken", b))

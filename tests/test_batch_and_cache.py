@@ -12,6 +12,24 @@ from repro.core.layers import dense as dense_mod
 from repro.core.tensor import Tensor
 
 
+def _count_packs(monkeypatch):
+    """Count conv/dense weight packings from now on (``{"conv": n, ...}``)."""
+    counts = {"conv": 0, "dense": 0}
+
+    def counting(kind, real):
+        def pack(*args, **kwargs):
+            counts[kind] += 1
+            return real(*args, **kwargs)
+
+        return pack
+
+    monkeypatch.setattr(binary_conv, "pack_weights",
+                        counting("conv", binary_conv.pack_weights))
+    monkeypatch.setattr(dense_mod, "_pack_dense_weights",
+                        counting("dense", dense_mod._pack_dense_weights))
+    return counts
+
+
 class TestConvWeightCache:
     def test_packing_is_lazy_and_cached(self):
         layer = BinaryConv2d(8, 4, 3, rng=0)
@@ -35,9 +53,9 @@ class TestConvWeightCache:
             layer.weight_bits = np.zeros((3, 3, 8, 5), dtype=np.uint8)
 
     def test_in_place_mutation_cannot_stale_the_cache(self, rng):
-        # weight_bits is stored as a frozen copy: in-place edits raise
-        # instead of silently bypassing cache invalidation, and mutating
-        # the caller's original array does not alias the layer's copy.
+        # weight_bits is derived read-only from the packed words: in-place
+        # edits raise (assign to change weights), and mutating the caller's
+        # original array cannot reach the layer's packed copy.
         source = rng.integers(0, 2, size=(3, 3, 8, 4), dtype=np.uint8)
         layer = BinaryConv2d(8, 4, 3, weight_bits=source)
         packed_before = layer.weights_packed
@@ -53,30 +71,16 @@ class TestConvWeightCache:
         with pytest.raises(ValueError):
             dense.weight_bits[0, 0] = 1
 
-    def test_repeated_engine_runs_do_not_repack(
+    def test_repeated_engine_runs_never_pack(
         self, tiny_bnn_network, tiny_images, monkeypatch
     ):
-        conv_packs = []
-        dense_packs = []
-        real_pack_weights = binary_conv.pack_weights
-        real_pack_dense = dense_mod._pack_dense_weights
-        monkeypatch.setattr(
-            binary_conv,
-            "pack_weights",
-            lambda *a, **k: conv_packs.append(1) or real_pack_weights(*a, **k),
-        )
-        monkeypatch.setattr(
-            dense_mod,
-            "_pack_dense_weights",
-            lambda *a, **k: dense_packs.append(1) or real_pack_dense(*a, **k),
-        )
+        packs = _count_packs(monkeypatch)
         engine = PhoneBitEngine()
-        engine.run(tiny_bnn_network, tiny_images)
-        packs_after_first = (len(conv_packs), len(dense_packs))
-        assert packs_after_first == (2, 2)  # conv1+conv2, fc1+fc2: once each
-        engine.run(tiny_bnn_network, tiny_images)
-        engine.run(tiny_bnn_network, tiny_images)
-        assert (len(conv_packs), len(dense_packs)) == packs_after_first
+        for _ in range(3):
+            engine.run(tiny_bnn_network, tiny_images)
+            engine.run_batch(tiny_bnn_network, tiny_images)
+        # Layers hold only packed words: nothing on the run path packs.
+        assert packs == {"conv": 0, "dense": 0}
 
     def test_dense_cache_invalidation(self, rng):
         layer = BinaryDense(64, 16, rng=0)
@@ -87,66 +91,38 @@ class TestConvWeightCache:
         with pytest.raises(ValueError):
             layer.weight_bits = np.zeros((64, 17), dtype=np.uint8)
 
-    def test_reassignment_landing_mid_pack_cannot_stale_the_cache(
-        self, rng, monkeypatch
-    ):
-        # Regression for the serving race: thread A reads ``weights_packed``
-        # and starts packing the old bits; thread B reassigns ``weight_bits``
-        # while that pack is in flight; A then stores its (now superseded)
-        # result.  With the old two-field cache (bits + packed invalidated
-        # separately) A's store overwrote B's invalidation, and every later
-        # read returned packed weights for bits that were no longer the
-        # layer's weights — permanently.  The cache now snapshots the exact
-        # bits array each packing came from, so a stale store can never be
-        # *served* for newer weights.  The reassignment is injected into the
-        # middle of the pack deterministically via monkeypatch.
+    def test_conv_assignment_packs_exactly_once(self, rng, monkeypatch):
         layer = BinaryConv2d(8, 4, 3, rng=0)
         new_bits = rng.integers(0, 2, size=(3, 3, 8, 4), dtype=np.uint8)
-        real_pack = binary_conv.pack_weights
-        reassigned = []
+        packs = _count_packs(monkeypatch)
+        layer.weight_bits = new_bits
+        assert packs["conv"] == 1
+        packed = layer.weights_packed
+        np.testing.assert_array_equal(layer.weight_bits, new_bits)
+        x = Tensor(rng.standard_normal((1, 6, 6, 8)).astype(np.float32))
+        layer.forward(x)
+        assert layer.weights_packed is packed
+        assert packs == {"conv": 1, "dense": 0}  # reads and runs never pack
 
-        def pack_with_concurrent_reassignment(bits, **kwargs):
-            result = real_pack(bits, **kwargs)
-            if not reassigned:  # emulate the writer landing mid-pack
-                reassigned.append(True)
-                layer.weight_bits = new_bits
-            return result
-
-        monkeypatch.setattr(
-            binary_conv, "pack_weights", pack_with_concurrent_reassignment
-        )
-        stale_candidate = layer.weights_packed  # packed from the *old* bits
-        after = layer.weights_packed  # must reflect the reassigned weights
-        monkeypatch.undo()
-        np.testing.assert_array_equal(
-            after, binary_conv.pack_weights(new_bits, word_size=layer.word_size)
-        )
-        assert not np.array_equal(after, stale_candidate)
-
-    def test_dense_reassignment_mid_pack_cannot_stale_the_cache(
-        self, rng, monkeypatch
+    def test_dense_assignment_packs_once_and_recompiles(
+        self, tiny_bnn_network, tiny_images, monkeypatch
     ):
-        layer = BinaryDense(64, 16, rng=0)
-        new_bits = rng.integers(0, 2, size=(64, 16), dtype=np.uint8)
-        real_pack = dense_mod._pack_dense_weights
-        reassigned = []
+        from repro.core import plan as plan_mod
 
-        def pack_with_concurrent_reassignment(bits, word_size):
-            result = real_pack(bits, word_size)
-            if not reassigned:
-                reassigned.append(True)
-                layer.weight_bits = new_bits
-            return result
-
-        monkeypatch.setattr(
-            dense_mod, "_pack_dense_weights", pack_with_concurrent_reassignment
-        )
-        layer.weights_packed
-        after = layer.weights_packed
-        monkeypatch.undo()
+        engine = PhoneBitEngine()
+        before = engine.run_batch(tiny_bnn_network, tiny_images).output.data
+        plan_before = plan_mod.get_plan(tiny_bnn_network)
+        fc = next(l for l in tiny_bnn_network.layers
+                  if isinstance(l, BinaryDense))
+        packs = _count_packs(monkeypatch)
+        fc.weight_bits = 1 - fc.weight_bits
+        assert packs == {"conv": 0, "dense": 1}
+        after = engine.run_batch(tiny_bnn_network, tiny_images).output.data
+        assert plan_mod.get_plan(tiny_bnn_network) is not plan_before
+        assert packs == {"conv": 0, "dense": 1}
+        assert not np.array_equal(before, after)
         np.testing.assert_array_equal(
-            after, dense_mod._pack_dense_weights(new_bits, layer.word_size)
-        )
+            after, tiny_bnn_network.forward(tiny_images).data)
 
     def test_concurrent_readers_and_writer_stay_coherent(self, rng):
         # Stress the lock-free cache: readers hammer ``weights_packed`` while

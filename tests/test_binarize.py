@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import binarize
@@ -64,7 +64,6 @@ class TestBitplanes:
         assert planes.shape == (4, 2)
         np.testing.assert_array_equal(binarize.combine_bitplanes(planes), image)
 
-    @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 255), min_size=1, max_size=64))
     def test_roundtrip_property(self, values):
         image = np.array(values, dtype=np.uint8)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import binary_conv
@@ -159,7 +159,6 @@ class TestInputConv:
 
 
 class TestProperties:
-    @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         channels=st.integers(1, 40),
@@ -178,7 +177,6 @@ class TestProperties:
         ref = binary_conv.binary_conv2d_reference(x_bits, w_bits, 3, padding=1)
         np.testing.assert_array_equal(out, ref)
 
-    @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), channels=st.integers(1, 4))
     def test_bitplane_conv_equals_integer_conv(self, seed, channels):
         rng = np.random.default_rng(seed)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import bitpack
@@ -122,7 +122,6 @@ class TestPackedDots:
 
 
 class TestProperties:
-    @settings(max_examples=40, deadline=None)
     @given(
         bits=st.lists(st.integers(0, 1), min_size=1, max_size=200),
         word_size=st.sampled_from([8, 16, 32, 64]),
@@ -133,7 +132,6 @@ class TestProperties:
         recovered = bitpack.unpack_bits(packed, len(bits), axis=0)
         np.testing.assert_array_equal(array, recovered)
 
-    @settings(max_examples=40, deadline=None)
     @given(
         data=st.data(),
         length=st.integers(1, 150),
@@ -154,7 +152,6 @@ class TestProperties:
         expected = int(((2 * a_bits.astype(int) - 1) * (2 * b_bits.astype(int) - 1)).sum())
         assert bitpack.packed_dot_bipolar(a_packed, b_packed, length, axis=0) == expected
 
-    @settings(max_examples=30, deadline=None)
     @given(length=st.integers(1, 200))
     def test_popcount_of_all_ones(self, length):
         bits = np.ones(length, dtype=np.uint8)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import branchless
@@ -65,7 +65,6 @@ class TestBranchlessOperator:
         assert out.dtype == np.uint8
         assert set(np.unique(out)).issubset({0, 1})
 
-    @settings(max_examples=60, deadline=None)
     @given(
         x1=st.integers(-100, 100),
         threshold=st.integers(-100, 100),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import fusion
@@ -89,7 +89,6 @@ class TestFusedEquivalence:
             fusion.fused_binarize(x1, threshold, bn.gamma), np.ones((2, 3), dtype=np.uint8)
         )
 
-    @settings(max_examples=50, deadline=None)
     @given(
         seed=st.integers(0, 100_000),
         batch=st.integers(1, 4),

@@ -127,3 +127,39 @@ class TestErrorHandling:
         net.add(Custom())
         with pytest.raises(model_format.ModelFormatError):
             model_format.save_network(net, io.BytesIO())
+
+
+class TestArtifactStability:
+    #: SHA-256 of each serving model's ``.pbit`` (``rng=0``; paper nets at
+    #: the reduced test resolutions).  Pinned: how layers store weights in
+    #: memory must never change the bytes a model serializes to.
+    DIGESTS = {
+        "TinyCNN": "1446f3dc7b2a791f94c12121285574e49bff56f6c721b184e701dbaf063eb450",
+        "MicroCNN": "2dfcf6e73b2cf23e811b4ba903be92bcfb98de5ae15c22f197bd2700c83d10f8",
+        "AlexNet": "9a27b34006692a2b87457ee7cbbdacc5df7373bb2bc5c49a8447e59e4b8daa76",
+        "YOLOv2 Tiny": "eecb26b7dc26994ff0741c0f76f8bd83f8b36e1ee0f78b0fb7c5ec45f7f9f1b3",
+        "VGG16": "a6681c4de0243d85be9a9a9df69ddbd3512ca46d92c684468a593ee78496edf6",
+    }
+    SIZES = {"VGG16": 32, "AlexNet": 67, "YOLOv2 Tiny": 32}
+
+    @pytest.mark.parametrize("model", sorted(DIGESTS))
+    def test_serving_model_bytes_are_pinned(self, model):
+        import dataclasses
+        import hashlib
+
+        from repro.models.zoo import SERVING_MODELS, build_phonebit_network
+
+        config = SERVING_MODELS[model]()
+        if model in self.SIZES:
+            side = self.SIZES[model]
+            config = dataclasses.replace(config, input_shape=(side, side, 3))
+        network = build_phonebit_network(config, rng=0)
+        raw = model_format.serialize_network(network)
+        assert hashlib.sha256(raw).hexdigest() == self.DIGESTS[model]
+        # Both load modes adopt the stored words as they are.
+        for zero_copy in (False, True):
+            loaded = model_format.load_network_from_buffer(raw, zero_copy=zero_copy)
+            for before, after in zip(network.layers, loaded.layers):
+                if hasattr(before, "weights_packed"):
+                    np.testing.assert_array_equal(after.weights_packed,
+                                                  before.weights_packed)

@@ -200,6 +200,8 @@ class TestUnfusedBlockFolding:
         np.testing.assert_array_equal(plan.execute(images).data, expected.data)
 
     def test_bn_without_binarize_is_not_folded(self, rng):
+        # The stream entering conv is float (unpacked), so the conv is not
+        # lowered as a float head either: nothing in this net is fused.
         net = Network("no-fold", input_shape=(8, 8, 4), input_dtype="float32")
         net.add(BinaryConv2d(4, 8, 3, padding=1, rng=1, output_binary=False,
                              name="conv"))
@@ -208,6 +210,45 @@ class TestUnfusedBlockFolding:
         assert plan.fused_step_count == 0
         x = rng.normal(size=(2, 8, 8, 4)).astype(np.float32)
         np.testing.assert_array_equal(plan.execute(x).data, net.forward(x).data)
+
+
+class TestPackedFlatten:
+    @pytest.mark.parametrize("model", ["AlexNet", "VGG16", "TinyCNN"])
+    def test_whole_word_pixels_flatten_as_a_zero_copy_reshape(self, model):
+        network = zoo_network(model)
+        plan = plan_mod.get_plan(network)
+        (step,) = [s for s in plan.steps
+                   if isinstance(s, plan_mod.PackedFlattenStep)]
+        assert isinstance(network.layers[step.layer_start], Flatten)
+        x = step.probe_input(np.random.default_rng(5))
+        ctx = plan_mod._ExecContext(plan_mod.BufferArena(), None, 1)
+        got = step.execute(x, ctx, None, None)
+        # Bit order is identical: unpack → flatten → repack rewrites no word.
+        expected = network.layers[step.layer_start].forward(x)
+        assert got.true_channels == expected.true_channels
+        np.testing.assert_array_equal(got.data, expected.data)
+        assert np.shares_memory(got.data, x.data)
+
+    def test_partial_words_keep_flatten_forward_and_still_lower_the_head(self):
+        # MicroCNN flattens 16 channels into 64-bit words: the repack is
+        # real, so Flatten.forward runs — but its output is known packed,
+        # so the float head fc after it is lowered.
+        plan = plan_mod.get_plan(zoo_network("MicroCNN"))
+        kinds = [type(step).__name__ for step in plan.steps[-2:]]
+        assert kinds == ["LayerStep", "FloatHeadStep"]
+
+    def test_word_size_change_keeps_flatten_forward(self, rng):
+        net = Network("w32", input_shape=(4, 4, 3), input_dtype="uint8")
+        net.add(InputConv2d(3, 64, 3, padding=1, rng=1, name="conv1"))
+        net.add(Flatten(word_size=32, name="flatten"))
+        net.add(BinaryDense(4 * 4 * 64, 10, word_size=32, rng=2,
+                            output_binary=False, name="fc"))
+        plan = plan_mod.get_plan(net)
+        assert [type(step).__name__ for step in plan.steps] == [
+            "FusedConvStep", "LayerStep", "FloatHeadStep"]
+        images = rng.integers(0, 256, size=(3, 4, 4, 3)).astype(np.uint8)
+        np.testing.assert_array_equal(plan.execute(images).data,
+                                      net.forward(images).data)
 
 
 class TestPlanCacheInvalidation:

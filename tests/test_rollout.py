@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.models.zoo import build_phonebit_network, micro_cnn_config
@@ -260,8 +260,14 @@ _OPS = st.one_of(
 )
 
 
+#: Falsifying example of the liveness property: the canary passes but is
+#: never promoted, and ``decide()`` used to answer "promote" forever.
+_NEVER_PROMOTED = [("prepared", "w0"), ("prepared", "w1"), ("prepared", "w2"),
+                   ("compare", True), ("compare", True)]
+
+
 class TestRolloutStateMachineProperty:
-    @settings(deadline=None, max_examples=200)
+    @example(ops=_NEVER_PROMOTED)
     @given(ops=st.lists(_OPS, max_size=40))
     def test_any_interleaving_stays_consistent_and_terminates(self, ops):
         """Every interleaving of rollout inputs keeps the machine sound.
@@ -335,7 +341,6 @@ class TestRolloutStateMachineProperty:
 
 
 class TestRouterDigestSlotConservation:
-    @settings(deadline=None, max_examples=150)
     @given(ops=st.lists(st.one_of(
         st.tuples(st.just("declare"), st.sampled_from(("a", "b")),
                   st.sampled_from((OLD, NEW))),
@@ -420,10 +425,28 @@ class TestGoldenRolloutTimelines:
         assert ctl.decide() == "rollback"
         return ctl.timeline()
 
+    def _scripted_never_promoted(self):
+        clock = FakeClock()
+        ctl = make_controller(workers=WORKER_IDS, clock=clock,
+                              canary_timeout_s=60.0)
+        for op, arg in _NEVER_PROMOTED:
+            if op == "prepared":
+                ctl.worker_prepared(arg)
+            else:
+                ctl.record_comparison(arg, 0.01, 0.01)
+        actions = []
+        for _ in range(4):  # nobody acts on "promote"
+            clock.advance(61.0)
+            actions.append(ctl.decide())
+        assert actions == ["rollback", None, None, None]
+        assert "never promoted" in ctl.rollback_reason
+        return ctl.timeline()
+
     def test_scripted_timelines_match_golden(self):
         current = {
             "commit": self._scripted_commit(),
             "rollback": self._scripted_rollback(),
+            "never_promoted": self._scripted_never_promoted(),
         }
         path = GOLDEN_DIR / "rollout_timelines.json"
         if REGEN:
@@ -446,6 +469,7 @@ class TestGoldenRolloutTimelines:
             assert events[0]["kind"] == "start", name
         assert golden["commit"][-1]["kind"] == "complete"
         assert golden["rollback"][-1]["kind"] == "rollback"
+        assert golden["never_promoted"][-1]["kind"] == "rollback"
 
 
 # ---------------------------------------------------------------------------

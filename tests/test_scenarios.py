@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.serving.cluster import DEFAULT_SLO_POLICIES, SLOPolicy
@@ -114,7 +114,6 @@ class TestSLOClasses:
         delays = [router.retry_after_s(2.0, slo=slo) for slo in SLO_CLASSES]
         assert delays[0] < delays[1] < delays[2]
 
-    @settings(max_examples=120, deadline=None)
     @given(st.lists(
         st.tuples(
             st.sampled_from(["add", "acquire", "force", "release", "remove"]),

@@ -363,11 +363,10 @@ class TestModelPool:
         assert pool.get("microcnn") is network  # case-insensitive, same object
         entry = pool.entry("MicroCNN")
         assert entry.build_ms >= 0.0 and entry.warm_ms >= 0.0
-        # Warm means every packed-weight cache is already populated.
-        for layer in network.layers:
-            cache = getattr(layer, "_packed_cache", None)
-            if hasattr(layer, "weights_packed"):
-                assert cache is not None
+        # Warm means the plan is compiled and its backend already chosen.
+        plan = network._plan_cache
+        assert plan is not None and plan.is_current(network)
+        assert plan.backend_selection is not None
 
     def test_register_external_network(self, tiny_bnn_network):
         pool = ModelPool()
