@@ -295,6 +295,20 @@ def _measure_ms(plan, batch, threads, row_tile, col_tile, chunk_rows,
     return best
 
 
+def _reads_col_tile(plan) -> bool:
+    """Whether a step runs the only kernel that reads ``col_tile``.
+
+    That is the NumPy threshold epilogue of a packed GEMM: compiled kernels
+    keep one activation row hot across all filters, and a float head's
+    affine epilogue runs the plain GEMM.
+    """
+    return any(
+        isinstance(step, plan_mod.PackedGemmStep)
+        and step.acc_threshold is not None and step.compiled is None
+        for step in plan.steps
+    )
+
+
 def tune_network(
     network,
     batch_size: int,
@@ -335,11 +349,6 @@ def tune_network(
     except Exception:  # noqa: BLE001 - seeding is best-effort
         run_cost = None
 
-    uses_numpy_fused = any(
-        hasattr(step, "acc_threshold") and step.compiled is None
-        for step in plan.steps
-    )
-
     best = {"threads": 1, "row_tile": None, "col_tile": None, "chunk_rows": None}
 
     def measure(**overrides) -> float:
@@ -359,7 +368,7 @@ def tune_network(
         ms = measure(row_tile=row_tile)
         if ms < best_ms:
             best_ms, best["row_tile"] = ms, row_tile
-    if uses_numpy_fused:  # compiled kernels ignore the column tile
+    if _reads_col_tile(plan):
         for col_tile in _COL_TILE_CANDIDATES:
             ms = measure(col_tile=col_tile)
             if ms < best_ms:

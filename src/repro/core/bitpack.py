@@ -343,6 +343,17 @@ def xor_popcount_gemm(
     return _popcount_gemm(a, b, np.bitwise_xor, out)
 
 
+def xor_popcount_gemm_rows(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray, row_start: int, row_stop: int
+) -> None:
+    """Rows ``[row_start, row_stop)`` of :func:`xor_popcount_gemm` into ``out``.
+
+    Same signature as the compiled backends' row-tile GEMM, so the plan
+    executor drives the NumPy and the compiled kernel through one body.
+    """
+    xor_popcount_gemm(a[row_start:row_stop], b, out=out[row_start:row_stop])
+
+
 def and_popcount_gemm(
     a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:

@@ -14,12 +14,16 @@ An :class:`ExecutionPlan` compiles the network once instead:
   xor-popcount layers, folded into the *accumulator* domain: the kernel
   tests the raw disagreement count and emits packed bits directly, so
   neither the ±1 pre-activation ``x1`` nor any unpacked/float intermediate
-  is ever materialized between binary blocks.  On a packed stream
-  ``MaxPool2d`` (bitwise OR of packed words), ``Flatten`` (a zero-copy
-  reshape when words hold whole pixels) and the *float heads* — binary
-  layers with ``output_binary=False``, whose xor-popcount GEMM feeds the
-  layer's own batch-norm affine — are lowered too; the NumPy path of a
-  pool or head is the layer's own ``forward``.
+  is ever materialized between binary blocks.  Binary conv and dense are
+  one operator, :class:`PackedGemmStep`: an xor-popcount GEMM over packed
+  rows (or patches gathered inside the row tiles) ending in a threshold
+  epilogue, or — for the *float heads*, binary layers with
+  ``output_binary=False`` — an affine epilogue that feeds the layer's own
+  batch-norm affine.  The exact-integer input convolution, whose operand
+  is the image rather than packed words, is :class:`InputConvStep`.  On a
+  packed stream ``MaxPool2d`` (bitwise OR of packed words) and ``Flatten``
+  (a zero-copy reshape when words hold whole pixels) are lowered too; the
+  NumPy path of a pool is the layer's own ``forward``.
 * **Arena memory planning** — activations in a sequential chain die as soon
   as the next step has consumed them, so fused outputs ping-pong between
   two arena slots and all patch gathers share one scratch slot.  Arenas are
@@ -286,6 +290,12 @@ class _LoweredStep:
         """Switch the step to ``impl`` (``None``: back to NumPy)."""
         self.lowering = (impl, operands)
 
+    @property
+    def _folds(self) -> str:
+        """``describe`` suffix of a step that folds several layers."""
+        span = self.layer_stop - self.layer_start
+        return "" if span == 1 else f" [folds {span} layers]"
+
     def run(self, x: Tensor, ctx: _ExecContext) -> Tensor:
         compiled, operands = self.lowering
         return self.execute(x, ctx, compiled, operands)
@@ -327,59 +337,11 @@ def _random_packed(rng, shape, word_size: int) -> np.ndarray:
     return rng.integers(0, 2 ** (8 * dtype.itemsize), size=shape, dtype=dtype)
 
 
-def _packed_conv_input(layer, x: Tensor) -> np.ndarray:
-    """The packed activations a binary convolution consumes (validated)."""
-    if x.packed:
-        packed = x.data
-        true_channels = x.true_channels
-    else:
-        bits = binarize_sign(x.data)
-        packed = binary_conv.pack_activations(bits, word_size=layer.word_size)
-        true_channels = int(x.data.shape[-1])
-    if true_channels != layer.in_channels:
-        raise ValueError(
-            f"{layer.name}: expected {layer.in_channels} input channels, "
-            f"got {true_channels}"
-        )
-    return packed
-
-
-def _packed_dense_input(layer, x: Tensor) -> np.ndarray:
-    """The packed feature rows a binary dense layer consumes (validated)."""
-    if x.packed:
-        if x.data.ndim != 2:
-            raise ValueError(f"{layer.name}: packed input must be flattened first")
-        packed = x.data
-        features = x.true_channels
-    else:
-        data = np.asarray(x.data).reshape(x.data.shape[0], -1)
-        bits = binarize_sign(data)
-        packed = bitpack.pack_bits(bits, word_size=layer.word_size, axis=1)
-        features = data.shape[1]
-    if features != layer.in_features:
-        raise ValueError(
-            f"{layer.name}: expected {layer.in_features} input features, "
-            f"got {features}"
-        )
-    return np.ascontiguousarray(packed)
-
-
-def _packed_conv_probe(layer, rng) -> Tensor:
-    """Random packed activations over a binary convolution's geometry."""
-    side = _probe_extent(layer.kernel_size, layer.stride, layer.padding)
-    wc_in = bitpack.words_per_channel(layer.in_channels, layer.word_size)
-    return Tensor(
-        _random_packed(rng, (2, side, side, wc_in), layer.word_size),
-        Layout.NHWC, packed=True, true_channels=layer.in_channels,
-    )
-
-
-def _packed_dense_probe(layer, rng) -> Tensor:
-    """Random packed feature rows over a binary dense layer's width."""
-    n_words = bitpack.words_per_channel(layer.in_features, layer.word_size)
-    return Tensor(
-        _random_packed(rng, (9, n_words), layer.word_size), Layout.NHWC,
-        packed=True, true_channels=layer.in_features,
+def _conv_shape(layer) -> str:
+    """``describe`` fragment of a convolution: name, channels and geometry."""
+    return (
+        f"{layer.name}: {layer.in_channels}→{layer.out_channels} "
+        f"k{layer.kernel_size} s{layer.stride} p{layer.padding}"
     )
 
 
@@ -398,14 +360,8 @@ def _conv_patches(layer, packed: np.ndarray, ctx: _ExecContext, compiled):
     rows = n * oh * ow
     gather = None
     if k == 1 and layer.padding == 0 and layer.stride == 1:
-        # Zero-copy reshape, no gather buffer needed.
-        patches, _, _ = binary_conv.packed_patch_matrix(
-            packed, k, layer.stride, layer.padding
-        )
-        if compiled is not None:
-            patches = np.ascontiguousarray(patches)
+        patches = packed.reshape(rows, wc_in)  # zero-copy, no gather buffer
     elif compiled is not None:
-        packed = np.ascontiguousarray(packed)
         patches = ctx.arena.view("patch", (rows, k * k * wc_in), packed.dtype)
 
         def gather(r0, r1):
@@ -420,8 +376,18 @@ def _conv_patches(layer, packed: np.ndarray, ctx: _ExecContext, compiled):
     return patches, gather, oh, ow
 
 
-class _FusedStepBase(_LoweredStep):
-    """Shared bookkeeping for the fused threshold → packed-bits steps."""
+class InputConvStep(_LoweredStep):
+    """Fused exact-integer input convolution → threshold → packed bits (Eqn. 2).
+
+    The first layer's operand is the integer image itself, not packed
+    words.  The NumPy path lowers it to an exact float64 GEMM: the 8-bit
+    integer convolution's every intermediate is an integer far below
+    2^53, so BLAS dgemm reproduces the bit-plane accumulation of Eqn. (2)
+    bit-exactly while running orders of magnitude faster on CPU (the
+    bit-plane kernels model the paper's GPU popcount path and survive as
+    the layerwise reference).  A compiled backend computes the same
+    integers in int32 straight from the uint8 image.
+    """
 
     def __init__(self, layer, layer_start: int, layer_stop: int,
                  threshold: np.ndarray, flip: np.ndarray,
@@ -433,69 +399,27 @@ class _FusedStepBase(_LoweredStep):
         self.out_word_size = out_word_size
         self.out_slot = out_slot
         self.weights_packed = layer.weights_packed  # compile-time snapshot
-
-
-class FusedConvStep(_FusedStepBase):
-    """Fused binary convolution → threshold → packed bits (Eqns. 1/5–9)."""
-
-    def __init__(self, layer, layer_start: int, layer_stop: int,
-                 threshold: np.ndarray, flip: np.ndarray,
-                 out_word_size: int, out_slot: str) -> None:
-        super().__init__(layer, layer_start, layer_stop, threshold, flip,
-                         out_word_size, out_slot)
-        self.is_input_conv = isinstance(layer, InputConv2d)
-        if self.is_input_conv:
-            # The NumPy path lowers the first layer to an exact float64
-            # GEMM: the 8-bit integer convolution's every intermediate is
-            # an integer far below 2^53, so BLAS dgemm reproduces the
-            # bit-plane accumulation of Eqn. (2) bit-exactly while running
-            # orders of magnitude faster on CPU (the bit-plane kernels
-            # model the paper's GPU popcount path and survive as the
-            # layerwise reference).  A compiled backend computes the same
-            # integers in int32 straight from the uint8 image.
-            bits = bitpack.unpack_bits(
-                self.weights_packed, layer.in_channels, axis=-1
-            ).reshape(layer.out_channels, -1)  # (Cout, KH·KW·Cin)
-            self.float_weights = np.ascontiguousarray(
-                (2.0 * bits.astype(np.float64) - 1.0).T
-            )
-        else:
-            self.flat_filters = np.ascontiguousarray(
-                self.weights_packed.reshape(layer.out_channels, -1)
-            )
-            # Fold the boundary into the accumulator domain:
-            #   x1 = L − 2·d  ⇒  (x1 >= t) ⇔ (d <= (L − t) // 2),
-            # clipped to the feasible count range [−1, L] so it fits the
-            # kernel's int32 accumulator.
-            length = layer.kernel_size ** 2 * layer.in_channels
-            acc = np.floor_divide(length - threshold, 2)
-            self.acc_threshold = np.clip(acc, -1, length).astype(np.int32)
+        bits = bitpack.unpack_bits(
+            self.weights_packed, layer.in_channels, axis=-1
+        ).reshape(layer.out_channels, -1)  # (Cout, KH·KW·Cin)
+        self.float_weights = np.ascontiguousarray(
+            (2.0 * bits.astype(np.float64) - 1.0).T
+        )
 
     @property
     def describe(self) -> str:
-        layer = self.layer
-        kind = "input-conv(exact-int)" if self.is_input_conv else "conv(xor-popcount)"
-        span = self.layer_stop - self.layer_start
-        folded = "" if span == 1 else f" [folds {span} layers]"
         return (
-            f"fused {kind} {layer.name}: {layer.in_channels}→{layer.out_channels} "
-            f"k{layer.kernel_size} s{layer.stride} p{layer.padding}, "
-            f"w{self.out_word_size} packed out{folded}"
+            f"fused input-conv(exact-int) {_conv_shape(self.layer)}, "
+            f"w{self.out_word_size} packed out{self._folds}"
         )
 
-    # ------------------------------------------------------------ lowering
     def lower(self, impl):
-        if self.is_input_conv:
-            return impl.prepare_input_conv(
-                self.weights_packed, self.layer.in_channels,
-                self.threshold, self.flip,
-            )
-        return impl.prepare_filters(self.flat_filters)
+        return impl.prepare_input_conv(
+            self.weights_packed, self.layer.in_channels, self.threshold, self.flip,
+        )
 
     def probe_input(self, rng) -> Tensor:
         layer = self.layer
-        if not self.is_input_conv:
-            return _packed_conv_probe(layer, rng)
         side = _probe_extent(layer.kernel_size, layer.stride, layer.padding)
         image = rng.integers(
             0, 1 << min(layer.input_bits, 8),
@@ -504,50 +428,14 @@ class FusedConvStep(_FusedStepBase):
         return Tensor(image, Layout.NHWC)
 
     def reference(self, x: Tensor) -> np.ndarray:
-        if self.is_input_conv and self.layer_stop - self.layer_start == 1:
+        if self.layer_stop - self.layer_start == 1:
             # The bit-plane interpreter (Eqn. 2) itself; a folded
             # conv → BN → Binarize block has no single-layer reference and
             # is probed against the exact-GEMM NumPy path instead.
             return self.layer.forward(x).data
         return super().reference(x)
 
-    # ----------------------------------------------------------- execution
     def execute(self, x: Tensor, ctx: _ExecContext, compiled, operands) -> Tensor:
-        layer = self.layer
-        if self.is_input_conv:
-            return self._input_conv(x, ctx, compiled, operands)
-        packed = _packed_conv_input(layer, x)
-        patches, gather, oh, ow = _conv_patches(layer, packed, ctx, compiled)
-        if patches.shape[1] != self.flat_filters.shape[1]:
-            raise ValueError("activation and filter packing widths do not match")
-        rows = patches.shape[0]
-        wc_out = bitpack.words_per_channel(layer.out_channels, self.out_word_size)
-        out = ctx.arena.view(
-            self.out_slot, (rows, wc_out), bitpack.word_dtype(self.out_word_size)
-        )
-        if compiled is None:
-            fused_rows, filters, row_work = (
-                bitpack.fused_xor_threshold_rows, self.flat_filters, None)
-        else:
-            fused_rows, filters, row_work = (
-                compiled.fused_xor_threshold_rows, operands,
-                layer.out_channels * operands.n_bytes)
-
-        def work(r0: int, r1: int) -> None:
-            if gather is not None:
-                gather(r0, r1)
-            fused_rows(
-                patches, filters, self.acc_threshold, self.flip,
-                out, r0, r1, self.out_word_size, col_tile=ctx.col_tile,
-            )
-
-        ctx.run_tiles(rows, work, row_work)
-        return Tensor(
-            out.reshape(packed.shape[0], oh, ow, wc_out), Layout.NHWC,
-            packed=True, true_channels=layer.out_channels,
-        )
-
-    def _input_conv(self, x: Tensor, ctx: _ExecContext, compiled, operands) -> Tensor:
         layer = self.layer
         if x.packed:
             raise ValueError(f"{layer.name}: expected an unpacked integer image")
@@ -593,8 +481,8 @@ class FusedConvStep(_FusedStepBase):
         else:
             # Gather integer patches straight into a float64 arena buffer
             # (the copyto casts), multiply by the ±1 filter matrix with
-            # one dgemm — exact, see __init__ — then threshold + pack the
-            # float x1 rows.
+            # one dgemm — exact, see the class docstring — then threshold
+            # + pack the float x1 rows.
             patches = ctx.arena.view("patch", (rows, volume), np.float64)
             binary_conv.gather_patches_nhwc(
                 image, k, layer.stride, layer.padding, out=patches
@@ -614,61 +502,152 @@ class FusedConvStep(_FusedStepBase):
         )
 
 
-class FusedDenseStep(_FusedStepBase):
-    """Fused binary dense → accumulator threshold → packed bits."""
+class PackedGemmStep(_LoweredStep):
+    """Binary conv/dense as one xor-popcount GEMM over packed operands (Eqn. 1).
+
+    The GEMM reads packed rows (dense) or packed patches gathered inside
+    the row tiles (conv) against one ``prepare_filters`` operand, then
+    ends in one of two epilogues, chosen by the compiler from the matched
+    block:
+
+    * **threshold** (``threshold`` given): the Eqns. (5–8) boundary folded
+      into the accumulator domain — compare the disagreement count and
+      bit-pack straight into ``out_slot``;
+    * **affine** (a float head, ``output_binary=False``): ``x1 = L − 2·d``
+      in an int64 ``acc`` slot, then the layer's own :meth:`affine_values`.
+
+    Both epilogues run on NumPy (:mod:`repro.core.bitpack`) or on an
+    adopted compiled backend through the same row tiles.  A threshold
+    step is probed against its NumPy path; a float head against the
+    layer's ``forward``.
+    """
+
+    def __init__(self, layer, layer_start: int, layer_stop: int,
+                 threshold: Optional[np.ndarray] = None,
+                 flip: Optional[np.ndarray] = None,
+                 out_word_size: Optional[int] = None,
+                 out_slot: Optional[str] = None) -> None:
+        super().__init__(layer, layer_start, layer_stop)
+        self.is_conv = not isinstance(layer, BinaryDense)
+        if self.is_conv:
+            self.fan_in, self.cols = layer.in_channels, layer.out_channels
+            self.length = layer.kernel_size ** 2 * layer.in_channels
+        else:
+            self.fan_in, self.cols = layer.in_features, layer.out_features
+            self.length = layer.in_features
+        self.flip = flip
+        self.out_word_size = out_word_size
+        self.out_slot = out_slot
+        self.weights_packed = layer.weights_packed  # compile-time snapshot
+        self.filters = np.ascontiguousarray(
+            self.weights_packed.reshape(self.cols, -1)
+        )
+        #: The x1-domain ``threshold`` folded into the accumulator domain
+        #: for the threshold epilogue (``None`` selects the affine one):
+        #: x1 = L − 2·d  ⇒  (x1 >= t) ⇔ (d <= (L − t) // 2), clipped to the
+        #: feasible count range [−1, L] so it fits the kernel's int32
+        #: accumulator.
+        self.acc_threshold = None
+        if threshold is not None:
+            acc = np.floor_divide(self.length - threshold, 2)
+            self.acc_threshold = np.clip(acc, -1, self.length).astype(np.int32)
 
     @property
     def describe(self) -> str:
         layer = self.layer
-        span = self.layer_stop - self.layer_start
-        folded = "" if span == 1 else f" [folds {span} layers]"
-        return (
-            f"fused dense(xor-popcount) {layer.name}: "
-            f"{layer.in_features}→{layer.out_features}, "
-            f"w{self.out_word_size} packed out{folded}"
-        )
-
-    def __init__(self, layer, layer_start: int, layer_stop: int,
-                 threshold: np.ndarray, flip: np.ndarray,
-                 out_word_size: int, out_slot: str) -> None:
-        super().__init__(layer, layer_start, layer_stop, threshold, flip,
-                         out_word_size, out_slot)
-        acc = np.floor_divide(layer.in_features - threshold, 2)
-        self.acc_threshold = np.clip(acc, -1, layer.in_features).astype(np.int32)
+        kind = "conv" if self.is_conv else "dense"
+        shape = (_conv_shape(layer) if self.is_conv
+                 else f"{layer.name}: {self.fan_in}→{self.cols}")
+        if self.acc_threshold is None:
+            return f"float-head(xor-popcount) {kind} {shape}, float32 out"
+        return (f"fused {kind}(xor-popcount) {shape}, "
+                f"w{self.out_word_size} packed out{self._folds}")
 
     def lower(self, impl):
-        return impl.prepare_filters(self.weights_packed)
+        return impl.prepare_filters(self.filters)
 
     def probe_input(self, rng) -> Tensor:
-        return _packed_dense_probe(self.layer, rng)
+        layer = self.layer
+        words = bitpack.words_per_channel(self.fan_in, layer.word_size)
+        if self.is_conv:
+            side = _probe_extent(layer.kernel_size, layer.stride, layer.padding)
+            shape = (2, side, side, words)
+        else:
+            shape = (9, words)
+        return Tensor(_random_packed(rng, shape, layer.word_size), Layout.NHWC,
+                      packed=True, true_channels=self.fan_in)
+
+    def reference(self, x: Tensor) -> np.ndarray:
+        if self.acc_threshold is None:
+            return self.layer.forward(x).data
+        return super().reference(x)
+
+    def _packed_input(self, x: Tensor) -> np.ndarray:
+        """The packed activations the layer consumes (validated)."""
+        layer = self.layer
+        if x.packed:
+            if not self.is_conv and x.data.ndim != 2:
+                raise ValueError(f"{layer.name}: packed input must be flattened first")
+            packed, fan_in = x.data, x.true_channels
+        else:
+            data = np.asarray(x.data)
+            if not self.is_conv:
+                data = data.reshape(data.shape[0], -1)
+            packed = bitpack.pack_bits(binarize_sign(data),
+                                       word_size=layer.word_size, axis=-1)
+            fan_in = data.shape[-1]
+        if fan_in != self.fan_in:
+            unit = "channels" if self.is_conv else "features"
+            raise ValueError(
+                f"{layer.name}: expected {self.fan_in} input {unit}, got {fan_in}"
+            )
+        return np.ascontiguousarray(packed)
 
     def execute(self, x: Tensor, ctx: _ExecContext, compiled, operands) -> Tensor:
-        layer = self.layer
-        packed = _packed_dense_input(layer, x)
-        if packed.shape[1] != self.weights_packed.shape[1]:
-            raise ValueError("operand packing widths do not match")
-        rows = packed.shape[0]
-        wc_out = bitpack.words_per_channel(layer.out_features, self.out_word_size)
-        out = ctx.arena.view(
-            self.out_slot, (rows, wc_out), bitpack.word_dtype(self.out_word_size)
-        )
-        if compiled is None:
-            fused_rows, weights, row_work = (
-                bitpack.fused_xor_threshold_rows, self.weights_packed, None)
+        packed = self._packed_input(x)
+        if self.is_conv:
+            patches, gather, oh, ow = _conv_patches(self.layer, packed, ctx, compiled)
+            lead = (packed.shape[0], oh, ow)
         else:
-            fused_rows, weights, row_work = (
-                compiled.fused_xor_threshold_rows, operands,
-                layer.out_features * operands.n_bytes)
-        ctx.run_tiles(
-            rows,
-            lambda r0, r1: fused_rows(
-                packed, weights, self.acc_threshold, self.flip,
-                out, r0, r1, self.out_word_size, col_tile=ctx.col_tile,
-            ),
-            row_work,
-        )
-        return Tensor(out, Layout.NHWC, packed=True,
-                      true_channels=layer.out_features)
+            patches, gather, lead = packed, None, (packed.shape[0],)
+        if patches.shape[1] != self.filters.shape[1]:
+            raise ValueError("activation and filter packing widths do not match")
+        rows = patches.shape[0]
+        if compiled is None:
+            kernels, filters, row_work = bitpack, self.filters, None
+        else:
+            kernels, filters = compiled, operands
+            row_work = self.cols * operands.n_bytes
+        if self.acc_threshold is None:
+            out = ctx.arena.view("acc", (rows, self.cols), np.int64)
+
+            def epilogue(r0: int, r1: int) -> None:
+                kernels.xor_popcount_gemm_rows(patches, filters, out, r0, r1)
+        else:
+            wc_out = bitpack.words_per_channel(self.cols, self.out_word_size)
+            out = ctx.arena.view(
+                self.out_slot, (rows, wc_out), bitpack.word_dtype(self.out_word_size)
+            )
+
+            def epilogue(r0: int, r1: int) -> None:
+                kernels.fused_xor_threshold_rows(
+                    patches, filters, self.acc_threshold, self.flip,
+                    out, r0, r1, self.out_word_size, col_tile=ctx.col_tile,
+                )
+
+        def work(r0: int, r1: int) -> None:
+            if gather is not None:
+                gather(r0, r1)
+            epilogue(r0, r1)
+
+        ctx.run_tiles(rows, work, row_work)
+        if self.acc_threshold is None:
+            np.multiply(out, -2, out=out)  # x1 = L − 2·d, in place
+            out += self.length
+            return Tensor(self.layer.affine_values(out).reshape(lead + (self.cols,)),
+                          Layout.NHWC)
+        return Tensor(out.reshape(lead + (wc_out,)), Layout.NHWC,
+                      packed=True, true_channels=self.cols)
 
 
 class PackedPoolStep(_LoweredStep):
@@ -725,73 +704,6 @@ class PackedPoolStep(_LoweredStep):
         )
         return Tensor(out.reshape(n, oh, ow, wc), Layout.NHWC,
                       packed=True, true_channels=x.true_channels)
-
-
-class FloatHeadStep(_LoweredStep):
-    """A binary conv/dense layer with a float output (``output_binary=False``).
-
-    The last binary layer of a network feeds a float layer, so there is no
-    threshold to fuse — but its xor-popcount GEMM still runs compiled, into
-    an int64 arena slot, followed by ``x1 = L − 2·d`` and the layer's own
-    :meth:`affine_values`.  The NumPy path — and the reference a compiled
-    kernel is probed against — is the layer's ``forward``.
-    """
-
-    def __init__(self, layer, layer_index: int) -> None:
-        super().__init__(layer, layer_index, layer_index + 1)
-        self.is_dense = isinstance(layer, BinaryDense)
-        if self.is_dense:
-            self.length, self.cols = layer.in_features, layer.out_features
-        else:
-            self.length = layer.kernel_size ** 2 * layer.in_channels
-            self.cols = layer.out_channels
-        self.weights_packed = layer.weights_packed  # compile-time snapshot
-
-    @property
-    def describe(self) -> str:
-        layer = self.layer
-        if self.is_dense:
-            shape = f"dense {layer.name}: {layer.in_features}→{layer.out_features}"
-        else:
-            shape = (
-                f"conv {layer.name}: {layer.in_channels}→{layer.out_channels} "
-                f"k{layer.kernel_size} s{layer.stride} p{layer.padding}"
-            )
-        return f"float-head(xor-popcount) {shape}, float32 out"
-
-    def lower(self, impl):
-        return impl.prepare_filters(
-            np.ascontiguousarray(self.weights_packed.reshape(self.cols, -1))
-        )
-
-    def probe_input(self, rng) -> Tensor:
-        if self.is_dense:
-            return _packed_dense_probe(self.layer, rng)
-        return _packed_conv_probe(self.layer, rng)
-
-    def execute(self, x: Tensor, ctx: _ExecContext, compiled, operands) -> Tensor:
-        layer = self.layer
-        if compiled is None:
-            return layer.forward(x)
-        if self.is_dense:
-            patches, gather = _packed_dense_input(layer, x), None
-            out_shape = (patches.shape[0], self.cols)
-        else:
-            packed = _packed_conv_input(layer, x)
-            patches, gather, oh, ow = _conv_patches(layer, packed, ctx, compiled)
-            out_shape = (packed.shape[0], oh, ow, self.cols)
-        rows = patches.shape[0]
-        acc = ctx.arena.view("acc", (rows, self.cols), np.int64)
-
-        def work(r0: int, r1: int) -> None:
-            if gather is not None:
-                gather(r0, r1)
-            compiled.xor_popcount_gemm_rows(patches, operands, acc, r0, r1)
-
-        ctx.run_tiles(rows, work, self.cols * operands.n_bytes)
-        np.multiply(acc, -2, out=acc)  # x1 = L − 2·d, in place
-        acc += self.length
-        return Tensor(layer.affine_values(acc).reshape(out_shape), Layout.NHWC)
 
 
 class PackedFlattenStep(_LoweredStep):
@@ -1000,7 +912,7 @@ class ExecutionPlan:
             f"~{self.per_sample_bytes / 2**20:.2f} MiB arena/sample)"
         ]
         for index, step in enumerate(self.steps):
-            slot = getattr(step, "out_slot", "-")
+            slot = getattr(step, "out_slot", None) or "-"
             lines.append(f"  [{index:2d}] {step.describe}  → {slot}")
         return "\n".join(lines)
 
@@ -1015,43 +927,61 @@ class ExecutionPlan:
 def _match_fused_block(layers, index):
     """Match a fusable block starting at ``layers[index]``.
 
-    Returns ``(consumed, predicate, out_word_size)`` or ``None``.  A block
-    is either a single binary layer that packs its own output
+    Returns ``(consumed, threshold, flip, out_word_size)`` or ``None``.  A
+    block is either a single binary layer that packs its own output
     (``output_binary=True``) or the unfused three-layer spelling
-    ``conv/dense → BatchNorm2d → Binarize``; ``predicate`` replicates the
-    matched path's exact arithmetic (including float32 casts) per channel.
+    ``conv/dense → BatchNorm2d → Binarize``.  The integer boundary is
+    extracted from a predicate that replicates the matched path's exact
+    arithmetic (including float32 casts) per channel.
     """
     layer = layers[index]
     channels = (
         layer.out_features if isinstance(layer, BinaryDense) else layer.out_channels
     )
     if layer.output_binary:
-        return 1, layer.fused_output_bits, layer.word_size
-    if index + 2 < len(layers):
-        bn, sign = layers[index + 1], layers[index + 2]
-        if (
-            isinstance(bn, BatchNorm2d)
-            and isinstance(sign, Binarize)
-            and bn.params.channels == channels
-        ):
-            def predicate(x1, _layer=layer, _bn=bn):
-                return binarize_sign(_bn.normalize_values(_layer.affine_values(x1)))
+        consumed, predicate, out_word_size = 1, layer.fused_output_bits, layer.word_size
+    elif (
+        index + 2 < len(layers)
+        and isinstance(layers[index + 1], BatchNorm2d)
+        and isinstance(layers[index + 2], Binarize)
+        and layers[index + 1].params.channels == channels
+    ):
+        bn = layers[index + 1]
 
-            return 3, predicate, sign.word_size
-    return None
+        def predicate(x1):
+            return binarize_sign(bn.normalize_values(layer.affine_values(x1)))
+
+        consumed, out_word_size = 3, layers[index + 2].word_size
+    else:
+        return None
+    bound = layer.x1_magnitude_bound
+    threshold, flip = exact_integer_threshold(predicate, channels, -bound, bound)
+    return consumed, threshold, flip, out_word_size
 
 
-def _fused_attr_snapshots(step) -> List[Tuple[object, str, object]]:
-    """Identity snapshots of everything a fused step's lowering depends on."""
-    layer = step.layer
-    snapshots = [
-        (layer, "weights_packed", step.weights_packed),
-        (layer, "batchnorm", layer.batchnorm),
-        (layer, "bias", layer.bias),
-        (layer, "threshold", layer.threshold),
-        (layer, "gamma", layer.gamma),
-    ]
-    return snapshots
+def _fused_working_bytes(layer, in_shape, out_shape, out_word_size: int) -> int:
+    """Per-sample arena bytes of a fused block: input, patches and output."""
+    in_item = np.dtype(bitpack.word_dtype(layer.word_size)).itemsize
+    out_item = np.dtype(bitpack.word_dtype(out_word_size)).itemsize
+    if isinstance(layer, BinaryDense):
+        return (
+            bitpack.words_per_channel(layer.in_features, layer.word_size) * in_item
+            + bitpack.words_per_channel(layer.out_features, out_word_size) * out_item
+        )
+    oh, ow = out_shape[:2]
+    volume = layer.kernel_size ** 2 * layer.in_channels
+    out_bytes = (
+        oh * ow * bitpack.words_per_channel(layer.out_channels, out_word_size)
+        * out_item
+    )
+    if isinstance(layer, InputConv2d):
+        # Exact-GEMM lowering: float64 patches + float64 x1 map.
+        return (math.prod(in_shape) + oh * ow * (volume + layer.out_channels) * 8
+                + out_bytes)
+    wc_in = bitpack.words_per_channel(layer.in_channels, layer.word_size)
+    in_bytes = in_shape[0] * in_shape[1] * wc_in * in_item
+    patch_bytes = oh * ow * layer.kernel_size ** 2 * wc_in * in_item
+    return in_bytes + patch_bytes + out_bytes
 
 
 def compile_plan(network) -> ExecutionPlan:
@@ -1069,11 +999,24 @@ def compile_plan(network) -> ExecutionPlan:
     i = 0
     while i < len(layers):
         layer = layers[i]
+        in_shape, out_shape = shapes[i][1], shapes[i][2]
         match = None
         if isinstance(layer, (InputConv2d, BinaryConv2d, BinaryDense)):
             match = _match_fused_block(layers, i)
-        if match is None:
-            in_shape, out_shape = shapes[i][1], shapes[i][2]
+        if match is not None:
+            consumed, threshold, flip, out_word_size = match
+            step_type = (InputConvStep if isinstance(layer, InputConv2d)
+                         else PackedGemmStep)
+            step = step_type(layer, i, i + consumed, threshold, flip,
+                             out_word_size, f"act{fused_index % 2}")
+            fused_index += 1
+            stream_word_size = out_word_size
+            working = _fused_working_bytes(layer, in_shape, out_shape, out_word_size)
+            for extra in layers[i + 1:i + consumed]:
+                if isinstance(extra, BatchNorm2d):
+                    snapshots.append((extra, "params", extra.params))
+        else:
+            consumed = 1
             if stream_word_size is not None and isinstance(layer, MaxPool2d):
                 step = PackedPoolStep(layer, i, in_shape[2], stream_word_size,
                                       f"act{fused_index % 2}")
@@ -1088,74 +1031,22 @@ def compile_plan(network) -> ExecutionPlan:
             elif (isinstance(layer, (BinaryConv2d, BinaryDense))
                   and stream_word_size == layer.word_size):
                 # output_binary=False (a binary output matched a block).
-                step = FloatHeadStep(layer, i)
-                snapshots.extend(_fused_attr_snapshots(step))
+                step = PackedGemmStep(layer, i, i + 1)
                 stream_word_size = None
             else:
                 step = LayerStep(layer, i)
                 stream_word_size = None
-            working = 4 * (int(np.prod(in_shape)) + int(np.prod(out_shape)))
-            steps.append(step)
-            per_sample_peak = max(per_sample_peak, working)
-            i += 1
-            continue
-        consumed, predicate, out_word_size = match
-        bound = layer.x1_magnitude_bound
-        out_slot = f"act{fused_index % 2}"
-        fused_index += 1
-        stream_word_size = out_word_size
-        if isinstance(layer, BinaryDense):
-            threshold, flip = exact_integer_threshold(
-                predicate, layer.out_features, -bound, bound
-            )
-            step = FusedDenseStep(
-                layer, i, i + consumed, threshold, flip, out_word_size, out_slot
-            )
-            in_words = bitpack.words_per_channel(layer.in_features, layer.word_size)
-            out_words = bitpack.words_per_channel(layer.out_features, out_word_size)
-            working = (
-                in_words * np.dtype(bitpack.word_dtype(layer.word_size)).itemsize
-                + out_words * np.dtype(bitpack.word_dtype(out_word_size)).itemsize
-            )
-        else:
-            threshold, flip = exact_integer_threshold(
-                predicate, layer.out_channels, -bound, bound
-            )
-            step = FusedConvStep(
-                layer, i, i + consumed, threshold, flip, out_word_size, out_slot
-            )
-            in_shape = shapes[i][1]
-            oh = conv_output_size(
-                in_shape[0], layer.kernel_size, layer.stride, layer.padding
-            )
-            ow = conv_output_size(
-                in_shape[1], layer.kernel_size, layer.stride, layer.padding
-            )
-            wc_in = bitpack.words_per_channel(layer.in_channels, layer.word_size)
-            wc_out = bitpack.words_per_channel(layer.out_channels, out_word_size)
-            word_bytes = np.dtype(bitpack.word_dtype(layer.word_size)).itemsize
-            out_bytes = oh * ow * wc_out * np.dtype(
-                bitpack.word_dtype(out_word_size)
-            ).itemsize
-            if isinstance(layer, InputConv2d):
-                # Exact-GEMM lowering: float64 patches + float64 x1 map.
-                volume = layer.kernel_size ** 2 * layer.in_channels
-                working = (
-                    int(np.prod(in_shape))
-                    + oh * ow * volume * 8
-                    + oh * ow * layer.out_channels * 8
-                    + out_bytes
-                )
-            else:
-                in_bytes = in_shape[0] * in_shape[1] * wc_in * word_bytes
-                patch_bytes = oh * ow * layer.kernel_size ** 2 * wc_in * word_bytes
-                working = in_bytes + patch_bytes + out_bytes
-        snapshots.extend(_fused_attr_snapshots(step))
-        for extra in layers[i + 1:i + consumed]:
-            if isinstance(extra, BatchNorm2d):
-                snapshots.append((extra, "params", extra.params))
+            working = 4 * (math.prod(in_shape) + math.prod(out_shape))
+        if isinstance(step, (InputConvStep, PackedGemmStep)):
+            snapshots.extend([
+                (layer, "weights_packed", step.weights_packed),
+                (layer, "batchnorm", layer.batchnorm),
+                (layer, "bias", layer.bias),
+                (layer, "threshold", layer.threshold),
+                (layer, "gamma", layer.gamma),
+            ])
         steps.append(step)
-        per_sample_peak = max(per_sample_peak, int(working))
+        per_sample_peak = max(per_sample_peak, working)
         i += consumed
     return ExecutionPlan(network, steps, snapshots, per_sample_peak)
 

@@ -284,7 +284,7 @@ class TestInputConvKernel:
                             name="conv1")
         side = k + 3 * stride + 1
         step = _single_layer_step(layer, (side, side, cin), "uint8")
-        assert step.is_input_conv
+        assert isinstance(step, plan_mod.InputConvStep)
         assert backends.verify_fused_step(kernel, step)
         image = rng.integers(0, 256, size=(3, side, side, cin), dtype=np.uint8)
         image[0] = 0
@@ -365,24 +365,29 @@ class TestFloatHeadStep:
                                 name="head", batchnorm=random_batchnorm(21, seed=2)))
         return net
 
-    @pytest.mark.parametrize("isa", cffi_backend.ISA_BODIES)
+    @pytest.mark.parametrize("isa", (None,) + cffi_backend.ISA_BODIES)
     @pytest.mark.parametrize("kind", ["conv", "dense-reshape", "dense-repack"])
     @pytest.mark.parametrize("batch_size", [1, 8, 64])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_matches_forward(self, isa, kind, batch_size, threads,
                              random_batchnorm, rng):
-        kernel = isa_impl(isa)
+        """``isa=None`` runs the NumPy path: the head GEMM in ``bitpack``."""
         network = self._head_network(kind, random_batchnorm)
         plan = plan_mod.compile_plan(network)
-        assert isinstance(plan.steps[-1], plan_mod.FloatHeadStep)
+        head = plan.steps[-1]
+        assert isinstance(head, plan_mod.PackedGemmStep)
+        assert head.acc_threshold is None  # the affine epilogue
         assert isinstance(plan.steps[-2], plan_mod.PackedFlattenStep) == (
             kind == "dense-reshape")
-        probe_rng = np.random.default_rng(0)
-        for step in plan.steps:
-            if step.fused:  # pin every lowered step to this ISA body
-                operands = step.verify(kernel, probe_rng)
-                assert operands is not None, step.describe
-                step.adopt(kernel, operands)
+        if isa is not None:
+            kernel = isa_impl(isa)
+            probe_rng = np.random.default_rng(0)
+            for step in plan.steps:
+                if step.fused:  # pin every lowered step to this ISA body
+                    operands = step.verify(kernel, probe_rng)
+                    assert operands is not None, step.describe
+                    step.adopt(kernel, operands)
+        assert (head.compiled is None) == (isa is None)
         images = rng.integers(0, 256, size=(batch_size, 9, 9, 3), dtype=np.uint8)
         expected = network.forward(images).data
         # 16-row tiles: several tiles per step, so two threads fan out.
@@ -667,6 +672,39 @@ class TestTuner:
                                 "row_tile": 512, "mean_ms": 1.0},
             }}, fh)
         assert tuner.TuningCache(str(tmp_path)).lookup(digest, 4) is None
+
+    def test_col_tile_is_searched_only_for_a_numpy_threshold_epilogue(
+            self, monkeypatch):
+        # Only the NumPy threshold epilogue reads col_tile; a float head's
+        # affine epilogue carries acc_threshold=None and must not count.
+        def network(with_threshold_step):
+            net = Network("col-tile", input_shape=(6, 6, 3), input_dtype="uint8")
+            net.add(InputConv2d(3, 64, 3, padding=1, rng=1, name="conv1"))
+            if with_threshold_step:
+                net.add(BinaryConv2d(64, 64, 3, padding=1, rng=2, name="conv2"))
+            net.add(BinaryConv2d(64, 8, 3, output_binary=False, rng=3,
+                                 name="head"))
+            return net
+
+        searched = []
+        monkeypatch.setattr(
+            tuner, "_measure_ms",
+            lambda plan, batch, repeats, **knobs: searched.append(
+                knobs["col_tile"]) or 1.0)
+        head_only = network(False)
+        assert [type(s).__name__ for s in plan_mod.get_plan(head_only).steps] == [
+            "InputConvStep", "PackedGemmStep"]
+        tuner.tune_network(head_only, 1, backend="numpy", repeats=1, store=False)
+        assert set(searched) == {None}
+        searched.clear()
+        tuner.tune_network(network(True), 1, backend="numpy", repeats=1,
+                           store=False)
+        assert set(tuner._COL_TILE_CANDIDATES) < set(searched)
+        name, impl = backends.resolve_backend("auto")
+        if impl is not None:  # compiled threshold kernels ignore col_tile
+            plan = plan_mod.compile_plan(network(True))
+            plan.select_backend(name)
+            assert not tuner._reads_col_tile(plan)
 
     def test_tuned_threads_precedence(self, monkeypatch):
         tuned = tuner.TunedConfig(backend="numpy", threads=3, row_tile=256,

@@ -4,6 +4,9 @@ The gpusim cost model and the model configs jointly determine the repo's
 reproduction of Table II (model sizes) and Table III (runtime comparison).
 Those subsystems get refactored for performance; these tests pin the
 *numbers* so a refactor that silently drifts a paper figure fails loudly.
+The execution-plan IR of every servable network is pinned the same way:
+its ``describe()`` text, arena size and backend-report keys are what the
+serving stack and the e2e benchmark's provenance record.
 
 The golden snapshots live in ``tests/golden/*.json``.  After an
 *intentional* change (e.g. a cost-model fix), regenerate them with:
@@ -20,7 +23,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import experiments
+from repro.core import plan as plan_mod
 from repro.models import BENCHMARK_MODELS, get_model_config, model_size_report
+from repro.models.zoo import SERVING_MODELS, build_phonebit_network, get_serving_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
@@ -61,6 +66,27 @@ def current_runtimes() -> dict:
                 for framework, result in per_framework.items()
             }
     return runtimes
+
+
+def current_plan_ir() -> dict:
+    """Plan IR per servable network at full resolution (``rng=0``).
+
+    The backend-report keys come from ``select_for_plan`` whichever backend
+    resolves here; they name steps by ``describe`` alone, so they are the
+    same with and without a compiler.
+    """
+    ir = {}
+    for name in SERVING_MODELS:
+        plan = plan_mod.compile_plan(
+            build_phonebit_network(get_serving_config(name), rng=0)
+        )
+        plan.select_backend("auto")
+        ir[name] = {
+            "describe": plan.describe().splitlines(),
+            "per_sample_bytes": plan.per_sample_bytes,
+            "backend_steps": list(plan.backend_report()["steps"]),
+        }
+    return ir
 
 
 def _load_or_regen(filename: str, current: dict) -> dict:
@@ -130,3 +156,10 @@ class TestGoldenRuntimes:
                     if framework == "PhoneBit" or not isinstance(runtime, float):
                         continue
                     assert phonebit < runtime, (device, model, framework)
+
+
+class TestGoldenPlanIR:
+    def test_plan_ir_matches_golden(self):
+        current = current_plan_ir()
+        golden = _load_or_regen("plan_ir.json", current)
+        assert_matches_golden(golden, current)

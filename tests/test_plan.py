@@ -235,7 +235,8 @@ class TestPackedFlatten:
         # so the float head fc after it is lowered.
         plan = plan_mod.get_plan(zoo_network("MicroCNN"))
         kinds = [type(step).__name__ for step in plan.steps[-2:]]
-        assert kinds == ["LayerStep", "FloatHeadStep"]
+        assert kinds == ["LayerStep", "PackedGemmStep"]
+        assert plan.steps[-1].acc_threshold is None  # the affine epilogue
 
     def test_word_size_change_keeps_flatten_forward(self, rng):
         net = Network("w32", input_shape=(4, 4, 3), input_dtype="uint8")
@@ -245,7 +246,7 @@ class TestPackedFlatten:
                             output_binary=False, name="fc"))
         plan = plan_mod.get_plan(net)
         assert [type(step).__name__ for step in plan.steps] == [
-            "FusedConvStep", "LayerStep", "FloatHeadStep"]
+            "InputConvStep", "LayerStep", "PackedGemmStep"]
         images = rng.integers(0, 256, size=(3, 4, 4, 3)).astype(np.uint8)
         np.testing.assert_array_equal(plan.execute(images).data,
                                       net.forward(images).data)
