@@ -359,7 +359,7 @@ def load_network(source) -> Network:
 
     Every array is copied out of the file image, so the returned network
     owns its memory.  To attach to an existing buffer without copying the
-    bulk weights (e.g. a ``multiprocessing.shared_memory`` segment), use
+    bulk weights (e.g. a read-only shared-memory mapping), use
     :func:`load_network_from_buffer` with ``zero_copy=True``.
     """
     if hasattr(source, "read"):
@@ -376,18 +376,18 @@ def load_network_from_buffer(buffer, zero_copy: bool = False) -> Network:
     Parameters
     ----------
     buffer:
-        Bytes-like object (``bytes``, ``memoryview``, ``shm.buf``) holding a
-        complete ``.pbit`` image.
+        Bytes-like object (``bytes``, ``memoryview``, a ``PROT_READ``
+        ``mmap``) holding a complete ``.pbit`` image; it may be read-only.
     zero_copy:
         When True, the packed binary weights of conv/dense layers are
         *views* into ``buffer`` — nothing is copied, which is how cluster
         workers attach to the shared-memory model store.  Either way the
         layers adopt the packed words as stored; nothing is unpacked.  The
-        caller must keep the underlying buffer alive (and should keep it
-        unmodified) for the lifetime of the returned network; weight arrays
-        are frozen read-only.  Small per-channel vectors (thresholds, γ,
-        batch-norm statistics) are always copied into float64 working form
-        by layer construction.
+        views hold a reference to ``buffer``, so a mapping stays mapped for
+        the lifetime of the returned network; the caller should keep it
+        unmodified, and weight arrays are frozen read-only.  Small
+        per-channel vectors (thresholds, γ, batch-norm statistics) are
+        always copied into float64 working form by layer construction.
 
     Returns
     -------

@@ -1,5 +1,7 @@
 """Shared fixtures for the PhoneBit reproduction test-suite."""
 
+import gc
+import os
 import signal
 
 import numpy as np
@@ -7,6 +9,9 @@ import pytest
 from hypothesis import settings
 
 from repro.core.fusion import BatchNormParams
+
+#: ``repro-*`` names in ``/dev/shm`` when the session started.
+_SHM_BEFORE = pytest.StashKey[set]()
 
 #: Hypothesis budgets live here, not on the tests.  ``tier1`` (the
 #: default) replays the same derandomized examples on every run, so the
@@ -28,6 +33,33 @@ def pytest_configure(config):
         "only — a hung multi-process test dies loudly instead of "
         "stalling the whole suite)",
     )
+
+
+def _shm_names() -> set:
+    """Every segment and ``.part`` claim this package keeps in /dev/shm."""
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("repro-")}
+    except FileNotFoundError:
+        return set()
+
+
+def pytest_sessionstart(session):
+    session.config.stash[_SHM_BEFORE] = _shm_names()
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the session if it left a shared-memory segment or claim behind."""
+    before = session.config.stash.get(_SHM_BEFORE, None)
+    if before is None:
+        return
+    gc.collect()  # run the exit finalizers of stores a test never closed
+    leaked = sorted(_shm_names() - before)
+    if leaked:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter is not None:
+            reporter.write_line(
+                f"shared-memory names left in /dev/shm: {leaked}", red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.hookimpl(hookwrapper=True)

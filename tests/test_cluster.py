@@ -125,6 +125,66 @@ class TestSharedModelStore:
         shm_name = result.stdout.strip().splitlines()[-1]
         assert not os.path.exists(f"/dev/shm/{shm_name}")
 
+    def test_owner_sigkill_reclaims_segments(self):
+        """The resource tracker unlinks a SIGKILLed owner's segments."""
+        code = (
+            "import os, signal, sys; sys.path.insert(0, 'src')\n"
+            "from repro.models.zoo import build_phonebit_network, micro_cnn_config\n"
+            "from repro.serving.shm_store import SharedModelStore\n"
+            "store = SharedModelStore()\n"
+            "handle = store.publish(build_phonebit_network(micro_cnn_config()))\n"
+            "print(handle.shm_name, flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=WAIT_S, cwd=os.path.dirname(os.path.dirname(__file__)),
+        )
+        assert result.returncode == -signal.SIGKILL, result.stderr
+        shm_name = result.stdout.strip().splitlines()[-1]
+        assert wait_until(
+            lambda: not os.path.exists(f"/dev/shm/{shm_name}"), timeout_s=5.0)
+
+    def test_tracker_quiet_after_attacher_exit_and_cache_fetch(self):
+        """Attachers never reach the resource tracker; creators balance it."""
+        code = (
+            "import os, sys; sys.path.insert(0, 'src')\n"
+            "from repro.models.zoo import build_phonebit_network, micro_cnn_config\n"
+            "from repro.serving.shm_store import (\n"
+            "    HostModelCache, SharedModelStore, ShmModelHandle, attach_model)\n"
+            "store = SharedModelStore()\n"
+            "handle = store.publish(build_phonebit_network(micro_cnn_config()))\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    attach_model(handle)\n"
+            "    os._exit(1)\n"
+            "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1\n"
+            "remote = ShmModelHandle(handle.model, '', handle.nbytes, handle.digest)\n"
+            "cache = HostModelCache()\n"
+            "attached = cache.attach(\n"
+            "    remote, fetch=lambda: bytes(store.payload_view(handle.digest)))\n"
+            "assert cache.attach_log == [(handle.digest, 'fetched')]\n"
+            "attached.close()\n"
+            "cache.close()\n"
+            "store.close()\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=WAIT_S, cwd=os.path.dirname(os.path.dirname(__file__)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert "resource_tracker" not in result.stderr
+        assert "leaked shared_memory" not in result.stderr
+
+    def test_missing_tmpfs_is_a_typed_error(self, monkeypatch):
+        from repro.serving import shm_store
+
+        monkeypatch.setattr(shm_store, "_SHM_DIR", "/nonexistent/shm")
+        for owner in (shm_store.SharedModelStore, shm_store.HostModelCache):
+            with pytest.raises(shm_store.ShmUnavailableError) as raised:
+                owner()
+            assert isinstance(raised.value, OSError)
+
 
 # ---------------------------------------------------------------------------
 # router

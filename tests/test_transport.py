@@ -7,6 +7,7 @@ survive worker connection loss (reconnect + requeue, futures never hang),
 and fetch model bytes through the digest-keyed per-host cache.
 """
 
+import fcntl
 import os
 import socket
 import subprocess
@@ -276,8 +277,8 @@ class TestHostModelCache:
         fetch-ahead shape: v1 still attaching on a late worker while v2's
         prepare lands) perform exactly one blob round trip *each*.
 
-        The shm-create claim is the host-global lock: per digest, one
-        racer fetches and every other attacher waits on its ready flag.
+        The ``.part`` flock claim is the host-global lock: per digest, one
+        racer fetches and every other attacher waits on that lock.
         A barrier inside the fetch path proves the two digests' round
         trips genuinely overlap rather than serializing.
         """
@@ -347,28 +348,30 @@ class TestHostModelCache:
             assert np.array_equal(results[0], results[2])
             assert np.array_equal(results[1], results[3])
 
-    def _remote_and_claim(self, store):
-        """A 'remote' handle plus an empty /dev/shm file under its cache
-        name: a claim caught between the publisher's shm_open and its
-        ftruncate."""
+    def _remote(self, store):
+        """A 'remote' handle (no owner segment to attach), its payload and
+        its cache segment's path."""
         handle = self._published(store)
         remote = ShmModelHandle(model=handle.model, shm_name="",
                                 nbytes=handle.nbytes, digest=handle.digest)
         path = f"/dev/shm/{cache_segment_name(handle.digest)}"
-        open(path, "xb").close()
         return remote, bytes(store.payload_view(handle.digest)), path
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
-    def test_unsized_claim_is_waited_for_not_fatal(self):
+    def test_held_claim_is_waited_for_not_refetched(self):
         with SharedModelStore() as store:
-            remote, raw, path = self._remote_and_claim(store)
+            remote, raw, path = self._remote(store)
+            # Another worker's claim, held while it "fetches".
+            fd = os.open(path + ".part", os.O_RDWR | os.O_CREAT, 0o600)
+            fcntl.flock(fd, fcntl.LOCK_EX)
 
             def finish_publish():
-                time.sleep(0.1)
-                with open(path, "r+b", buffering=0) as segment:
-                    segment.truncate(remote.nbytes + 1)
-                    segment.write(raw)
-                    segment.write(b"\x01")  # ready flag, after the payload
+                try:
+                    time.sleep(0.1)
+                    os.write(fd, raw)
+                    os.link(path + ".part", path)
+                    os.unlink(path + ".part")
+                finally:
+                    os.close(fd)  # releases the claim
 
             publisher = threading.Thread(target=finish_publish)
             publisher.start()
@@ -382,23 +385,73 @@ class TestHostModelCache:
                 publisher.join(timeout=WAIT_S)
                 os.unlink(path)
             assert not publisher.is_alive()
+            assert not os.path.exists(path + ".part")
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
-    def test_unsized_claim_of_dead_publisher_is_reclaimed(self):
+    def test_killed_claimant_is_reclaimed_at_once(self):
         with SharedModelStore() as store:
-            remote, raw, path = self._remote_and_claim(store)
-            fetches = []
+            remote, raw, path = self._remote(store)
+            claimant = subprocess.Popen(
+                [sys.executable, "-c",
+                 "import fcntl, os, sys\n"
+                 f"fd = os.open({path + '.part'!r}, os.O_RDWR | os.O_CREAT)\n"
+                 "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+                 f"os.write(fd, bytes({len(raw) // 2}))\n"
+                 "print('claimed', flush=True)\n"
+                 "sys.stdin.read()\n"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            fetches, done = [], {}
 
             def fetch():
                 fetches.append(1)
                 return raw
 
-            with HostModelCache(ready_timeout_s=0.2) as cache:
-                attached = cache.attach(remote, fetch=fetch)
-                assert cache.attach_log[-1][1] == "fetched"
-                attached.close()
+            def waiter():
+                done["attached"] = cache.attach(remote, fetch=fetch)
+                done["at"] = time.monotonic()
+
+            try:
+                assert claimant.stdout.readline() == "claimed\n"
+                with HostModelCache() as cache:
+                    thread = threading.Thread(target=waiter)
+                    thread.start()
+                    time.sleep(0.2)
+                    assert thread.is_alive() and not fetches  # blocked on it
+                    claimant.kill()  # SIGKILL with half the payload written
+                    killed_at = time.monotonic()
+                    thread.join(timeout=WAIT_S)
+                    assert not thread.is_alive()
+                    assert done["at"] - killed_at < 1.0
+                    assert cache.attach_log[-1][1] == "fetched"
+                    done["attached"].close()
+            finally:
+                claimant.kill()
+                claimant.wait(timeout=WAIT_S)
+                claimant.stdin.close()
+                claimant.stdout.close()
             assert fetches == [1]
+            assert not os.path.exists(path + ".part")
             assert not os.path.exists(path)  # the cache's own copy is gone
+
+    def test_wrong_sized_file_at_digest_name_is_replaced(self):
+        with SharedModelStore() as store:
+            remote, raw, path = self._remote(store)
+            # Empty (never sized) and one byte long (the old ready-byte layout).
+            for stale in (b"", raw + b"\x01"):
+                with open(path, "xb") as handle:
+                    handle.write(stale)
+                fetches = []
+                try:
+                    with HostModelCache() as cache:
+                        attached = cache.attach(
+                            remote, fetch=lambda: fetches.append(1) or raw)
+                        assert cache.attach_log == [(remote.digest, "fetched")]
+                        assert bytes(attached.segment.buf) == raw
+                        attached.close()
+                finally:
+                    if os.path.exists(path) and os.path.getsize(path) == len(stale):
+                        os.unlink(path)  # never replaced: leave no trace
+                assert fetches == [1]
+                assert not os.path.exists(path)
 
     def test_fetch_digest_mismatch_rejected(self):
         with SharedModelStore() as store:
@@ -450,10 +503,15 @@ class TestSocketCluster:
             )
             assert served == images.shape[0]
 
-    def test_forced_digest_fetch_bit_identical(self, monkeypatch):
-        """Workers that cannot see the owner's segment fetch over the wire."""
+    @pytest.mark.parametrize("transport", ["tcp", "pipe"])
+    def test_forced_digest_fetch_bit_identical(self, transport, monkeypatch):
+        """Workers that cannot see the owner's segment fetch over the wire.
+
+        Under ``pipe`` the two workers are forked from the router and
+        contend for the same digest claim on one host.
+        """
         monkeypatch.setenv("REPRO_CLUSTER_FORCE_FETCH", "1")
-        with make_socket_cluster("tcp", workers=2) as cluster:
+        with make_socket_cluster(transport, workers=2) as cluster:
             images = synthetic_images((8, 8, 3), 24, seed=2)
             baseline = cluster.baseline_service()
             try:
