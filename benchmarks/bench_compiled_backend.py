@@ -1,16 +1,14 @@
 """Compiled kernel backend benchmark (wall-clock, not simulated).
 
 Measures the compiled backend (:mod:`repro.core.backends`: cffi C kernels
-behind the fused execution plan, per-step bit-exactness gating, digest-keyed
-auto-tuning) against the PR 3 NumPy fused plan, at two granularities:
+behind the fused execution plan, per-step bit-exactness gating) against the
+PR 3 NumPy fused plan, at two granularities:
 
 * **per-kernel** — the three compiled kernels (fused xor+threshold+pack,
   xor-popcount GEMM, packed patch extraction) head-to-head with their
   NumPy references on representative shapes;
 * **end-to-end** — ``PhoneBitEngine.run_batch`` per backend × model ×
-  batch, untuned (library defaults) and tuned (a fresh
-  :func:`repro.core.backends.tuner.tune_network` sweep whose winner is
-  applied through the normal digest-keyed cache lookup).
+  batch, on the plan's static execution policy.
 
 Every end-to-end cell first asserts the compiled outputs are bit-identical
 to the NumPy plan, so a throughput win can never hide a correctness drift.
@@ -141,12 +139,11 @@ def bench_kernels(impl, reps, seed):
 
 
 def measure_model(model, input_size, compiled_name, batches, reps, threads,
-                  seed, tune):
-    """End-to-end records for one model: numpy vs compiled, untuned vs tuned."""
+                  seed):
+    """End-to-end records for one model: numpy vs compiled."""
     import numpy as np
 
     from repro.core import plan as plan_mod
-    from repro.core.backends import tuner
     from repro.core.engine import PhoneBitEngine
     from repro.models.zoo import build_phonebit_network, get_serving_config
 
@@ -158,26 +155,14 @@ def measure_model(model, input_size, compiled_name, batches, reps, threads,
     rng = np.random.default_rng(seed)
     plan = plan_mod.get_plan(network)
 
-    tuned_config = None
-    if tune:
-        # Store into the real per-host cache, so the tuned variant below
-        # exercises the production digest-keyed lookup path end to end.
-        tuned_config = tuner.tune_network(
-            network, max(batches), repeats=max(1, reps - 1))
-
     records = []
     for batch in batches:
         images = rng.integers(
             0, 256, size=(batch,) + network.input_shape).astype(np.uint8)
-        variants = [("numpy", "numpy", False),
-                    (compiled_name, compiled_name, False)]
-        if tuned_config is not None:
-            variants.append((f"{compiled_name}+tuned", compiled_name, True))
         baseline_ms = None
         reference = None
-        for label, backend, tuned in variants:
-            engine = PhoneBitEngine(num_threads=threads, backend=backend,
-                                    auto_tune=tuned)
+        for backend in ("numpy", compiled_name):
+            engine = PhoneBitEngine(num_threads=threads, backend=backend)
             kwargs = dict(collect_estimate=False)
             out = engine.run_batch(network, images, **kwargs).output.data
             if reference is None:
@@ -188,14 +173,13 @@ def measure_model(model, input_size, compiled_name, batches, reps, threads,
                 lambda e=engine: e.run_batch(network, images, **kwargs), reps)
             if baseline_ms is None:
                 baseline_ms = ms
-            record = {
+            records.append({
                 "op": "compiled_exec",
                 "model": model,
                 "input_size": input_size,
                 "batch": batch,
                 "backend": backend,
-                "tuned": tuned,
-                "variant": label,
+                "variant": backend,
                 "threads": (threads if threads is not None
                             else plan_mod.default_num_threads()),
                 "fused_steps": plan.fused_step_count,
@@ -203,11 +187,7 @@ def measure_model(model, input_size, compiled_name, batches, reps, threads,
                 "ns_per_op": (ms / batch) * 1e6,
                 "speedup_vs_numpy": baseline_ms / ms if ms else float("inf"),
                 "bit_identical": True,
-            }
-            if tuned:
-                record["tuned_row_tile"] = tuned_config.row_tile
-                record["tuned_threads"] = tuned_config.threads
-            records.append(record)
+            })
     return records
 
 
@@ -227,15 +207,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--no-kernels", action="store_true",
                         help="skip the per-kernel micro section")
-    parser.add_argument("--no-tune", action="store_true",
-                        help="skip the tuned variant (faster)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write records to PATH ('-' for stdout)")
     parser.add_argument("--quick", action="store_true",
                         help="smaller models/batches (CI smoke mode)")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail unless every model's best compiled "
-                             "variant reaches this end-to-end speedup "
+                        help="fail unless every model's compiled "
+                             "backend reaches this end-to-end speedup "
                              "over the numpy fused plan")
     args = parser.parse_args(argv)
 
@@ -270,7 +248,7 @@ def main(argv=None) -> int:
     model_records = []
     for model, input_size in _resolve_models(specs, args.full):
         rows = measure_model(model, input_size, name, batches, reps,
-                             args.threads, args.seed, tune=not args.no_tune)
+                             args.threads, args.seed)
         model_records.extend(rows)
         for rec in rows:
             print(f"{model}@{input_size} b{rec['batch']:<3d} "

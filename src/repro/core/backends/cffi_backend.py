@@ -90,7 +90,7 @@ def compiler_available() -> bool:
 
 
 def build_cache_dir() -> str:
-    """Per-host directory holding built extensions and tuning records.
+    """Per-host directory holding the built extensions.
 
     ``REPRO_BACKEND_CACHE`` overrides; the default is
     ``~/.cache/repro/backends``, degrading to a per-user temp directory
@@ -319,13 +319,11 @@ class CffiKernelBackend:
 
     # -- kernels -----------------------------------------------------------
     def fused_xor_threshold_rows(self, a, b, acc_threshold, flip, out_words,
-                                 row_start, row_stop, word_size,
-                                 col_tile=None) -> None:
+                                 row_start, row_stop, word_size) -> None:
         """Compiled twin of :func:`repro.core.bitpack.fused_xor_threshold_rows`.
 
         ``b`` is the packed filter matrix or its :meth:`prepare_filters`
-        result.  ``col_tile`` is accepted for signature parity and ignored
-        — the C loop blocks over filters itself.
+        result.
         """
         b = self._filters_for(a, b)
         thresh = np.ascontiguousarray(acc_threshold, dtype=np.int32)

@@ -374,7 +374,6 @@ def fused_xor_threshold_rows(
     row_start: int,
     row_stop: int,
     word_size: int,
-    col_tile: int | None = None,
 ) -> None:
     """Fused xor-popcount GEMM tile → accumulator threshold → packed bits.
 
@@ -389,18 +388,15 @@ def fused_xor_threshold_rows(
     is never materialized — the execution plan folds the Eqn. (5–8) fused
     threshold ξ into the accumulator domain at compile time.
 
-    The per-call working set is ``(rows_in_tile × col_tile × n_words)``
+    The per-call working set is ``(rows_in_tile × COL_TILE × n_words)``
     words plus one boolean tile; disjoint row ranges touch disjoint output
     rows, which is what makes the plan executor's thread fan-out safe.
-    ``col_tile`` (default :data:`_GEMM_COL_TILE`) bounds the filter block
-    per inner iteration — a tuning knob that never changes results.
     """
     cols = b.shape[0]
-    tile = _GEMM_COL_TILE if col_tile is None else max(1, int(col_tile))
     rows = a[row_start:row_stop]
     bits = np.empty((rows.shape[0], cols), dtype=np.bool_)
-    for j0 in range(0, cols, tile):
-        j1 = min(j0 + tile, cols)
+    for j0 in range(0, cols, _GEMM_COL_TILE):
+        j1 = min(j0 + _GEMM_COL_TILE, cols)
         x = np.bitwise_xor(rows[:, None, :], b[None, j0:j1, :])
         # int32 accumulation: a disagreement count is at most the kernel
         # volume, so the narrow accumulator halves the reduction's memory

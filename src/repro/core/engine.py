@@ -21,7 +21,6 @@ Two usage modes:
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -136,7 +135,6 @@ class PhoneBitEngine:
         use_plan: bool = True,
         num_threads: int | None = None,
         backend: str | None = None,
-        auto_tune: bool = True,
     ) -> None:
         self.device = device or snapdragon_855()
         self.word_size = word_size
@@ -148,9 +146,8 @@ class PhoneBitEngine:
         #: baseline the ``bench_fused_exec`` benchmark measures against).
         self.use_plan = use_plan
         #: Tile-execution thread fan-out; ``None`` defers to
-        #: ``REPRO_NUM_THREADS``, then to a tuned per-host winner when one
-        #: exists, then to ``os.cpu_count()`` at execution time.  Every one
-        #: of those sources is validated by
+        #: ``REPRO_NUM_THREADS``, then to ``os.cpu_count()`` at execution
+        #: time.  Either source is validated by
         #: :func:`repro.core.plan.positive_int`, the single thread-count
         #: validation path.
         self.num_threads = num_threads
@@ -159,11 +156,6 @@ class PhoneBitEngine:
         #: ``REPRO_BACKEND`` / ``"auto"``.  Selection is per plan step and
         #: gated on bit-exactness (:mod:`repro.core.backends`).
         self.backend = backend
-        #: Consult the digest-keyed per-host tuning cache
-        #: (:mod:`repro.core.backends.tuner`) for measured thread/tile/chunk
-        #: winners.  Explicit ``num_threads`` / ``chunk_bytes`` settings
-        #: always override tuned values.
-        self.auto_tune = auto_tune
         self.cost_model = CostModel(self.device, self.profile)
 
     # ----------------------------------------------------------- planning
@@ -178,22 +170,6 @@ class PhoneBitEngine:
         plan = plan_mod.get_plan(network)
         plan.select_backend(backend or self.backend)
         return plan
-
-    def _tuned_for(self, network: Network, plan, batch_size: int):
-        """Tuned per-host config for this batch, or None.
-
-        Best-effort by design: any tuner/cache failure means built-in
-        defaults.  Tuned records only carry result-neutral knobs, so a
-        stale record can slow execution down but never change outputs.
-        """
-        if not self.auto_tune or plan is None:
-            return None
-        try:
-            from repro.core.backends import tuner
-
-            return tuner.lookup_network(network, batch_size)
-        except Exception:  # noqa: BLE001 - tuning must never break inference
-            return None
 
     def backend_report(self, network: Network) -> dict:
         """Per-step backend selection for ``network`` under current settings."""
@@ -384,33 +360,14 @@ class PhoneBitEngine:
         """
         plan = self._plan_for(network)
         if plan is not None:
-            x = network.coerce_input(batch)
-            tuned = self._tuned_for(network, plan, int(x.data.shape[0]))
-            threads, row_tile, col_tile = self._resolve_execution(tuned)
             output = plan.execute(
-                x, threads=threads, row_tile=row_tile, col_tile=col_tile
+                network.coerce_input(batch), threads=self.num_threads
             )
         else:
             output = network.forward(batch)
         report = self.estimate(network)
         report.output = output
         return report
-
-    def _resolve_execution(self, tuned):
-        """Fold a tuned record into (threads, row_tile, col_tile).
-
-        Explicit settings outrank measurements: the engine's
-        ``num_threads`` (the CLI's ``--threads``) and the
-        ``REPRO_NUM_THREADS`` environment override both beat the tuned
-        thread count; tile shapes have no explicit knob and come straight
-        from the record.
-        """
-        threads = self.num_threads
-        if tuned is None:
-            return threads, None, None
-        if threads is None and not os.environ.get("REPRO_NUM_THREADS", "").strip():
-            threads = tuned.threads
-        return threads, tuned.row_tile, tuned.col_tile
 
     def run_batch(
         self,
@@ -469,9 +426,8 @@ class PhoneBitEngine:
             recomputing it per micro-batch is pure overhead.
         chunk_bytes:
             Byte budget for the working-set-aware chunk heuristic
-            (:meth:`auto_chunk_size`); defaults to the tuned per-host
-            budget when one exists, then ``DEFAULT_CHUNK_BYTES``.  Ignored
-            when ``chunk_size`` is given explicitly.
+            (:meth:`auto_chunk_size`); defaults to ``DEFAULT_CHUNK_BYTES``.
+            Ignored when ``chunk_size`` is given explicitly.
         backend:
             Per-call kernel backend override (a
             :data:`repro.core.backends.BACKEND_CHOICES` spec); ``None``
@@ -486,15 +442,10 @@ class PhoneBitEngine:
         if chunk_bytes is not None and chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
         plan = self._plan_for(network, backend)
-        tuned = self._tuned_for(network, plan, n)
-        threads, row_tile, col_tile = self._resolve_execution(tuned)
         if chunk_size is None:
-            budget = chunk_bytes
-            if budget is None and tuned is not None and tuned.chunk_bytes:
-                budget = tuned.chunk_bytes
-            if budget is None:
-                budget = DEFAULT_CHUNK_BYTES
-            auto = self.auto_chunk_size(network, n, budget, plan=plan)
+            auto = self.auto_chunk_size(
+                network, n, chunk_bytes or DEFAULT_CHUNK_BYTES, plan=plan
+            )
             chunk_size = auto if auto < n else None
 
         # Report keys must be unique even when layers share a (default)
@@ -520,8 +471,7 @@ class PhoneBitEngine:
             if plan is not None:
                 step_times: list = []
                 current = plan.execute(
-                    chunk, threads=threads, step_times=step_times,
-                    row_tile=row_tile, col_tile=col_tile,
+                    chunk, threads=self.num_threads, step_times=step_times
                 )
                 for step, seconds in step_times:
                     # A fused step may cover several layers (conv → BN →

@@ -92,8 +92,7 @@ def positive_int(value, name: str) -> int:
     """Validate ``value`` as a positive integer (the single validation path).
 
     Every thread-count source — the ``REPRO_NUM_THREADS`` environment
-    override, the CLI's ``--threads``, and tuned thread counts from
-    :mod:`repro.core.backends.tuner` — funnels through this helper, so
+    override and the CLI's ``--threads`` — funnels through this helper, so
     they cannot disagree on what counts as valid or how the error reads.
     """
     try:
@@ -154,11 +153,11 @@ def _row_tiles(rows: int, threads: int, row_tile: Optional[int] = None,
                row_work: Optional[int] = None) -> List[Tuple[int, int]]:
     """Split ``rows`` into contiguous tile ranges for (threaded) execution.
 
-    ``row_tile`` overrides the built-in upper bound — the knob the
-    auto-tuner (:mod:`repro.core.backends.tuner`) searches per host.
-    ``row_work`` is the cost of one row on a compiled kernel (byte-pair
-    operations); when given, and no explicit ``row_tile`` says otherwise,
-    tiles are widened until each carries :data:`_MIN_TILE_WORK`.
+    ``row_tile`` overrides the built-in upper bound (verification probes
+    and tests use it to force split tiles).  ``row_work`` is the cost of
+    one row on a compiled kernel (byte-pair operations); when given, and no
+    explicit ``row_tile`` says otherwise, tiles are widened until each
+    carries :data:`_MIN_TILE_WORK`.
     """
     tile = _ROW_TILE if row_tile is None else positive_int(row_tile, "row_tile")
     if threads > 1:
@@ -215,16 +214,14 @@ class BufferArena:
 class _ExecContext:
     """Per-execution resources handed to every step."""
 
-    __slots__ = ("arena", "pool", "threads", "row_tile", "col_tile")
+    __slots__ = ("arena", "pool", "threads", "row_tile")
 
     def __init__(self, arena: BufferArena, pool: Optional[ThreadPoolExecutor],
-                 threads: int, row_tile: Optional[int] = None,
-                 col_tile: Optional[int] = None) -> None:
+                 threads: int, row_tile: Optional[int] = None) -> None:
         self.arena = arena
         self.pool = pool
         self.threads = threads
         self.row_tile = row_tile
-        self.col_tile = col_tile
 
     def run_tiles(self, rows: int, work: Callable[[int, int], None],
                   row_work: Optional[int] = None) -> None:
@@ -632,8 +629,7 @@ class PackedGemmStep(_LoweredStep):
             def epilogue(r0: int, r1: int) -> None:
                 kernels.fused_xor_threshold_rows(
                     patches, filters, self.acc_threshold, self.flip,
-                    out, r0, r1, self.out_word_size, col_tile=ctx.col_tile,
-                )
+                    out, r0, r1, self.out_word_size)
 
         def work(r0: int, r1: int) -> None:
             if gather is not None:
@@ -859,7 +855,6 @@ class ExecutionPlan:
         threads: Optional[int] = None,
         step_times: Optional[list] = None,
         row_tile: Optional[int] = None,
-        col_tile: Optional[int] = None,
     ) -> Tensor:
         """Run the plan on a batch; bit-identical to ``Network.forward``.
 
@@ -872,17 +867,17 @@ class ExecutionPlan:
         step_times:
             Optional list; ``(step, seconds)`` is appended per step so the
             engine can attribute wall clock to layers.
-        row_tile, col_tile:
-            Tile-shape overrides (rows per tile, filter columns per inner
-            block).  ``None`` keeps the built-in defaults; the per-host
-            auto-tuner (:mod:`repro.core.backends.tuner`) supplies
-            measured winners.  Tiling never changes results, only speed.
+        row_tile:
+            Rows-per-tile override.  ``None`` keeps the built-in bound and
+            the work floor (:data:`_MIN_TILE_WORK`); an explicit value
+            switches the floor off, which is how tests force split tiles.
+            Tiling never changes results.
         """
         current = self.coerce_input(x)
         threads = default_num_threads() if threads is None else max(1, int(threads))
         arena = self._acquire_arena()
         pool = _shared_pool(threads) if threads > 1 else None
-        ctx = _ExecContext(arena, pool, threads, row_tile, col_tile)
+        ctx = _ExecContext(arena, pool, threads, row_tile)
         try:
             for step in self.steps:
                 t0 = time.perf_counter()

@@ -17,7 +17,6 @@ estimate; the kernel time is their combination plus the overhead.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence
 
@@ -123,49 +122,6 @@ class RunCost:
     def layer_times_ms(self) -> dict:
         """Mapping of layer name to milliseconds."""
         return {l.layer_name: l.total_s * 1e3 for l in self.layer_costs}
-
-    @property
-    def compute_bound_fraction(self) -> float:
-        """Fraction of modeled kernel time that is compute (vs. memory).
-
-        ``1.0`` means every kernel is arithmetic-limited, ``0.0`` means the
-        run is pure memory traffic.  The auto-tuner
-        (:mod:`repro.core.backends.tuner`) uses this split to seed its
-        thread-count search: compute-bound models scale with cores while
-        memory-bound ones saturate the bus early.
-        """
-        compute = sum(
-            k.compute_s for l in self.layer_costs for k in l.kernel_costs
-        )
-        memory = sum(
-            k.memory_s for l in self.layer_costs for k in l.kernel_costs
-        )
-        total = compute + memory
-        return compute / total if total > 0 else 0.0
-
-
-def thread_candidates(run_cost: "RunCost | None" = None,
-                      cpu_count: "int | None" = None) -> "tuple[int, ...]":
-    """Thread fan-outs worth measuring, seeded by the simulated cost split.
-
-    Returns power-of-two counts up to the host's core count (plus the core
-    count itself), ordered most-promising first: compute-bound models (per
-    ``run_cost.compute_bound_fraction``) try wide fan-outs first because
-    popcount arithmetic scales with cores, while memory-bound models try
-    narrow fan-outs first — extra threads only contend for the bus.  The
-    ordering is a *search seed* for :mod:`repro.core.backends.tuner`, which
-    still measures every candidate; it never changes results.
-    """
-    cpus = max(1, int(cpu_count if cpu_count is not None else (os.cpu_count() or 1)))
-    candidates = {1, cpus}
-    power = 2
-    while power < cpus:
-        candidates.add(power)
-        power *= 2
-    compute_bound = (
-        run_cost.compute_bound_fraction >= 0.5 if run_cost is not None else True
-    )
-    return tuple(sorted(candidates, reverse=compute_bound))
 
 
 class CostModel:

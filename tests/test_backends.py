@@ -1,4 +1,4 @@
-"""Tests for the compiled kernel backends and the per-host auto-tuner.
+"""Tests for the compiled kernel backends and the engine's thread policy.
 
 The load-bearing property is the *bit-exactness spine*: a compiled kernel
 may only replace the NumPy reference when its output is bit-for-bit
@@ -9,8 +9,6 @@ degrade to the NumPy path with unchanged results, never to an error.
 """
 
 import dataclasses
-import json
-import os
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from repro.core import backends, binary_conv, bitpack
 from repro.core import plan as plan_mod
-from repro.core.backends import cffi_backend, tuner
+from repro.core.backends import cffi_backend
 from repro.core.engine import PhoneBitEngine
 from repro.core.layers import (
     BinaryConv2d, BinaryDense, Flatten, InputConv2d, MaxPool2d,
@@ -462,6 +460,22 @@ class TestPlanMatchesInterpreter:
         )
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
+    def test_run_batch_does_not_import_serving(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, numpy as np\n"
+            "from repro.core.engine import PhoneBitEngine\n"
+            "from repro.models.zoo import build_phonebit_network, "
+            "get_serving_config\n"
+            "net = build_phonebit_network(get_serving_config('MicroCNN'), rng=0)\n"
+            "PhoneBitEngine().run_batch(\n"
+            "    net, np.zeros((1,) + tuple(net.input_shape), np.uint8))\n"
+            "assert not [m for m in sys.modules if m.startswith('repro.serving')]\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
 
 class TestZooBitExactness:
     """Whole-network equality: compiled selection vs the NumPy plan."""
@@ -636,103 +650,51 @@ class TestFallback:
         plan.select_backend("numpy")  # leave the shared plan clean
 
 
-class TestTuner:
-    def test_batch_bucket(self):
-        assert tuner.batch_bucket(1) == 1
-        assert tuner.batch_bucket(2) == 2
-        assert tuner.batch_bucket(3) == 4
-        assert tuner.batch_bucket(17) == 32
-        assert tuner.batch_bucket(10_000) == 256
-        with pytest.raises(ValueError):
-            tuner.batch_bucket(0)
+class TestEngineThreads:
+    """The engine's one execution policy: thread precedence, then the floor."""
 
-    def test_cache_round_trip_same_selection(self, tmp_path):
+    def test_explicit_threads_beat_the_environment(self, monkeypatch):
         network = zoo_network("MicroCNN")
-        cache = tuner.TuningCache(str(tmp_path))
-        config = tuner.tune_network(network, 8, repeats=1, cache=cache)
-        digest = tuner.network_digest(network)
-        # A fresh instance must reload the persisted record identically.
-        reloaded = tuner.TuningCache(str(tmp_path)).lookup(digest, 8)
-        assert reloaded == config
-        # Every size in the bucket resolves to the same record.
-        assert tuner.TuningCache(str(tmp_path)).lookup(digest, 5) == config
-        assert tuner.TuningCache(str(tmp_path)).lookup(digest, 100) is None
-        plan_mod.get_plan(network).select_backend("numpy")
+        images = np.zeros((2,) + tuple(network.input_shape), dtype=np.uint8)
+        handed = []
+        real_execute = plan_mod.ExecutionPlan.execute
 
-    def test_corrupt_record_degrades_to_none(self, tmp_path):
-        cache = tuner.TuningCache(str(tmp_path))
-        digest = "a" * 64
-        os.makedirs(cache.directory, exist_ok=True)
-        with open(cache._path(digest), "w") as fh:
-            fh.write("{ not json")
-        assert cache.lookup(digest, 4) is None
-        with open(cache._path(digest), "w") as fh:
-            json.dump({"version": tuner._SCHEMA_VERSION, "entries": {
-                cache._key(4): {"backend": "cffi", "threads": -3,
-                                "row_tile": 512, "mean_ms": 1.0},
-            }}, fh)
-        assert tuner.TuningCache(str(tmp_path)).lookup(digest, 4) is None
+        def spy(plan, x, threads=None, **kwargs):
+            handed.append(threads)
+            return real_execute(plan, x, threads=threads, **kwargs)
 
-    def test_col_tile_is_searched_only_for_a_numpy_threshold_epilogue(
-            self, monkeypatch):
-        # Only the NumPy threshold epilogue reads col_tile; a float head's
-        # affine epilogue carries acc_threshold=None and must not count.
-        def network(with_threshold_step):
-            net = Network("col-tile", input_shape=(6, 6, 3), input_dtype="uint8")
-            net.add(InputConv2d(3, 64, 3, padding=1, rng=1, name="conv1"))
-            if with_threshold_step:
-                net.add(BinaryConv2d(64, 64, 3, padding=1, rng=2, name="conv2"))
-            net.add(BinaryConv2d(64, 8, 3, output_binary=False, rng=3,
-                                 name="head"))
-            return net
-
-        searched = []
-        monkeypatch.setattr(
-            tuner, "_measure_ms",
-            lambda plan, batch, repeats, **knobs: searched.append(
-                knobs["col_tile"]) or 1.0)
-        head_only = network(False)
-        assert [type(s).__name__ for s in plan_mod.get_plan(head_only).steps] == [
-            "InputConvStep", "PackedGemmStep"]
-        tuner.tune_network(head_only, 1, backend="numpy", repeats=1, store=False)
-        assert set(searched) == {None}
-        searched.clear()
-        tuner.tune_network(network(True), 1, backend="numpy", repeats=1,
-                           store=False)
-        assert set(tuner._COL_TILE_CANDIDATES) < set(searched)
-        name, impl = backends.resolve_backend("auto")
-        if impl is not None:  # compiled threshold kernels ignore col_tile
-            plan = plan_mod.compile_plan(network(True))
-            plan.select_backend(name)
-            assert not tuner._reads_col_tile(plan)
-
-    def test_tuned_threads_precedence(self, monkeypatch):
-        tuned = tuner.TunedConfig(backend="numpy", threads=3, row_tile=256,
-                                  col_tile=None, chunk_bytes=None, mean_ms=1.0)
-        engine = PhoneBitEngine()
-        monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
-        assert engine._resolve_execution(tuned) == (3, 256, None)
-        # The environment override beats the tuned record ...
+        monkeypatch.setattr(plan_mod.ExecutionPlan, "execute", spy)
         monkeypatch.setenv("REPRO_NUM_THREADS", "2")
-        assert engine._resolve_execution(tuned)[0] is None
+        for engine, expected in ((PhoneBitEngine(num_threads=5), 5),
+                                 (PhoneBitEngine(), None)):
+            handed.clear()
+            engine.run(network, images)
+            engine.run_batch(network, images, collect_estimate=False)
+            assert handed == [expected, expected]
+        # ``None`` leaves the choice to the plan, where the environment wins.
         assert default_num_threads() == 2
-        # ... and an explicit engine setting beats both.
-        explicit = PhoneBitEngine(num_threads=5)
-        assert explicit._resolve_execution(tuned)[0] == 5
 
-    def test_thread_candidates_seeding(self):
-        from repro.gpusim.cost_model import thread_candidates
+    def test_batch1_paper_net_runs_every_step_inline(self, monkeypatch, rng):
+        name, _ = compiled_impl()
+        config = dataclasses.replace(get_serving_config("VGG16"),
+                                     input_shape=(64, 64, 3))
+        network = build_phonebit_network(config, rng=7)
 
-        wide_first = thread_candidates(None, cpu_count=8)
-        assert set(wide_first) == {1, 2, 4, 8}
-        assert wide_first[0] == 8  # compute-bound default: wide first
-        cost = PhoneBitEngine().estimate(zoo_network("MicroCNN")).run_cost
-        assert 0.0 <= cost.compute_bound_fraction <= 1.0
-        assert set(thread_candidates(cost, cpu_count=4)) == {1, 2, 4}
+        class NoPool:
+            def map(self, *args, **kwargs):
+                raise AssertionError("a batch-1 step was fanned out")
+
+        requested = []
+        monkeypatch.setattr(plan_mod, "_shared_pool",
+                            lambda threads: requested.append(threads) or NoPool())
+        image = rng.integers(0, 256, size=(1, 64, 64, 3), dtype=np.uint8)
+        engine = PhoneBitEngine(num_threads=2, backend=name)
+        engine.run_batch(network, image, collect_estimate=False)
+        assert requested == [2]  # fan-out was allowed; the floor declined it
 
 
 class TestThreadValidation:
-    """The single validation path shared by env, CLI and tuned counts."""
+    """The single validation path shared by env and CLI counts."""
 
     @pytest.mark.parametrize("bad", ["0", "-2", "x", "2.5", ""])
     def test_env_override_rejected_consistently(self, monkeypatch, bad):
