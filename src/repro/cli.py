@@ -258,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--requests", type=int, default=64,
                              help="requests per offered-load level")
     serve_bench.add_argument("--max-wait-ms", type=float, default=2.0,
-                             help="scheduler max wait before a partial flush")
+                             help="accepted for compatibility; the work-conserving "
+                                  "scheduler does not wait on it")
     serve_bench.add_argument("--seed", type=int, default=0)
     serve_bench.add_argument("--json", metavar="PATH", default=None,
                              help="also write records to PATH ('-' for stdout)")

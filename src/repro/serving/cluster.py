@@ -384,8 +384,9 @@ class _CanaryComparison:
         self._started: Dict[str, float] = {}
         self._results: Dict[str, tuple] = {}
 
-    def watch(self, which: str, future: Future) -> None:
-        self._started[which] = time.perf_counter()
+    def watch(self, which: str, future: Future, started: float) -> None:
+        """Time ``future`` from ``started`` (its dispatch) to resolution."""
+        self._started[which] = started
         future.add_done_callback(lambda f, w=which: self._done(w, f))
 
     def _done(self, which: str, future: Future) -> None:
@@ -536,7 +537,9 @@ class ClusterService:
         An externally owned :class:`SharedModelStore`; by default the
         cluster builds the models, publishes them and owns the store.
     max_batch_size / max_wait_ms / cache_capacity / chunk_bytes:
-        Per-worker :class:`InferenceService` configuration.  Worker response
+        Per-worker :class:`InferenceService` configuration.  The
+        work-conserving scheduler ignores ``max_wait_ms``; the router still
+        uses it as its batch-wall guess for shed back-off.  Worker response
         caches default to **off** — a cluster-wide cache lives on the
         roadmap, and per-worker caches would make hit rates routing-shaped.
     worker_threads:
@@ -1254,8 +1257,8 @@ class ClusterService:
         deadline = None if timeout is None else time.perf_counter() + timeout
         rid, worker_id, future = self._admit(key, image, block, deadline,
                                              slo=slo, cache_key=cache_key)
-        self._dispatch(key, [(rid, worker_id, image)])
-        self._maybe_probe(key, image, future)
+        self._dispatch_mirrored(key, [(rid, worker_id, image)],
+                                [(image, future)])
         return future
 
     def submit_batch(self, model: str, images: np.ndarray,
@@ -1275,6 +1278,7 @@ class ClusterService:
         slo = None if slo is None else validate_slo(slo)
         futures: List[Future] = []
         assignments: List[tuple] = []
+        mirrored: List[tuple] = []
         for image in np.asarray(images):
             cache_key, hit = self._cache_lookup(key, image)
             if hit is not None:
@@ -1288,17 +1292,17 @@ class ClusterService:
             except ClusterOverloadError:
                 # Saturated: dispatch what we hold, then wait empty-handed.
                 if assignments:
-                    self._dispatch(key, assignments)
-                    assignments = []
+                    self._dispatch_mirrored(key, assignments, mirrored)
+                    assignments, mirrored = [], []
                 rid, worker_id, future = self._admit(
                     key, image, block=True, deadline=None, slo=slo,
                     cache_key=cache_key
                 )
             futures.append(future)
             assignments.append((rid, worker_id, image))
-            self._maybe_probe(key, image, future)
+            mirrored.append((image, future))
         if assignments:
-            self._dispatch(key, assignments)
+            self._dispatch_mirrored(key, assignments, mirrored)
         return futures
 
     def infer(self, model: str, image: np.ndarray,
@@ -2376,15 +2380,25 @@ class ClusterService:
                                               canary_latency_s)
         self._rollout_tick()
 
+    def _dispatch_mirrored(self, key: str, assignments: Sequence[tuple],
+                           mirrored: Sequence[tuple]) -> None:
+        """:meth:`_dispatch` ``assignments``, then mirror a canary fraction
+        of their ``(image, future)`` pairs.  Each side of a comparison is
+        timed from its own dispatch: a primary may resolve first."""
+        dispatched_at = time.perf_counter()
+        self._dispatch(key, assignments)
+        for image, future in mirrored:
+            self._maybe_probe(key, image, future, dispatched_at)
+
     def _maybe_probe(self, key: str, image: np.ndarray,
-                     primary_future: Future) -> None:
-        """Mirror a canary fraction of live traffic to the new digest.
+                     primary_future: Future, primary_started: float) -> None:
+        """Mirror one request to the new digest, if the rollout samples it.
 
         The probe is admitted only against workers that *declared* the
         new digest, without force and without shed accounting — a
         saturated fleet silently skips the sample rather than inflating
         shed counters or stealing client capacity.  The client's answer
-        always comes from the stable dispatch.
+        always comes from the stable dispatch, made at ``primary_started``.
         """
         with self._lock:
             live = self._rollouts.get(key)
@@ -2414,8 +2428,8 @@ class ClusterService:
             )
             endpoint = worker.endpoint
         comparison = _CanaryComparison(self, key, new_digest)
-        comparison.watch("stable", primary_future)
-        comparison.watch("canary", future)
+        comparison.watch("stable", primary_future, primary_started)
+        comparison.watch("canary", future, now)
         try:
             endpoint.send(("reqs", [(rid, key, image, new_digest)]))
         except (TransportClosed, ValueError, OSError):

@@ -10,7 +10,6 @@ figures the reports and benchmarks consume.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -71,9 +70,10 @@ class LatencySummary:
 class LatencyTracker:
     """Thread-safe accumulator of per-request latencies (seconds).
 
-    Memory is bounded: only the most recent ``window`` samples are kept for
-    percentile computation (a service at production rates would otherwise
-    grow without limit), while the total recorded count stays exact.
+    Memory is bounded: the most recent ``window`` samples live in a
+    preallocated float64 ring (8 B per sample) for percentile computation
+    (a service at production rates would otherwise grow without limit),
+    while the total recorded count stays exact.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW) -> None:
@@ -81,14 +81,14 @@ class LatencyTracker:
             raise ValueError("window must be positive")
         self.window = int(window)
         self._lock = threading.Lock()
-        self._samples: "deque[float]" = deque(maxlen=self.window)
+        self._ring = np.empty(self.window, dtype=np.float64)
         self._total = 0
 
     def record(self, seconds: float) -> None:
         if seconds < 0:
             raise ValueError("latency cannot be negative")
         with self._lock:
-            self._samples.append(float(seconds))
+            self._ring[self._total % self.window] = seconds
             self._total += 1
 
     def __len__(self) -> int:
@@ -96,10 +96,15 @@ class LatencyTracker:
         with self._lock:
             return self._total
 
-    def samples(self) -> List[float]:
-        """Snapshot copy of the windowed latencies (seconds)."""
+    def _snapshot(self) -> tuple:
+        """``(total, copy of the retained samples in ring order)``."""
         with self._lock:
-            return list(self._samples)
+            return self._total, self._ring[:min(self._total, self.window)].copy()
+
+    def samples(self) -> List[float]:
+        """Snapshot copy of the windowed latencies (seconds), oldest first."""
+        total, window = self._snapshot()
+        return np.roll(window, -(total % self.window)).tolist()
 
     def quantile_s(self, q: float = 99.0) -> tuple:
         """``(total_count, q-th percentile in seconds)`` over the window.
@@ -107,18 +112,13 @@ class LatencyTracker:
         The cheap accessor the cluster's retry/hedging timers poll — one
         percentile, no :class:`LatencySummary` construction.
         """
-        with self._lock:
-            window = list(self._samples)
-            total = self._total
-        if not window:
+        total, window = self._snapshot()
+        if not window.size:
             return total, 0.0
-        return total, float(np.percentile(
-            np.asarray(window, dtype=np.float64), q))
+        return total, float(np.percentile(window, q))
 
     def summary(self) -> LatencySummary:
-        with self._lock:
-            window = list(self._samples)
-            total = self._total
+        total, window = self._snapshot()
         summary = LatencySummary.from_samples(window)
         if total != summary.count:
             # Window rolled over: report the exact total request count with

@@ -1,18 +1,22 @@
-"""Dynamic micro-batching scheduler.
+"""Work-conserving micro-batching scheduler.
 
 Per-request traffic is the worst case for the batched engine: every call
 pays the full per-invocation overhead that ``run_batch`` exists to
 amortize.  :class:`BatchingScheduler` sits between the two — requests are
-queued as they arrive and a worker thread flushes them to an executor in
-micro-batches under a classic dual-trigger policy:
+queued as they arrive and one worker thread hands them to an executor in
+micro-batches.  The policy is **work-conserving**: the moment the worker
+is free and anything is pending, it cuts up to ``max_batch_size``
+requests.  A lone request on an idle worker runs at once; requests that
+arrive while a batch executes queue up and become the next batch, so
+batches grow with offered load on their own and no request waits on a
+timer in front of an idle executor.
 
-* **size** — a batch flushes as soon as ``max_batch_size`` requests are
-  pending (full batches never wait);
-* **timeout** — a partial batch flushes once its oldest request has waited
-  ``max_wait_ms`` (latency is bounded even at low offered load);
-* **flush** — :meth:`flush` forces everything pending out immediately;
-* **drain** — :meth:`close` flushes the remaining queue before shutdown,
-  so no accepted request is ever dropped.
+Each batch records why it was cut:
+
+* **size** — at least ``max_batch_size`` requests were pending;
+* **idle** — the worker was free and fewer were pending;
+* **drain** — :meth:`close` is executing the remaining queue before
+  shutdown, so no accepted request is ever dropped.
 
 The scheduler is payload-agnostic: the executor receives the list of queued
 payloads and returns one result per payload.  Batching must not change
@@ -30,10 +34,8 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.serving.metrics import LatencyTracker
-
-#: Flush triggers recorded per batch.
-TRIGGERS = ("size", "timeout", "flush", "drain")
+#: Why a batch was cut, recorded per batch.
+TRIGGERS = ("size", "idle", "drain")
 
 #: How many recent :class:`BatchRecord` entries a scheduler retains.
 RECENT_BATCHES = 4_096
@@ -46,20 +48,25 @@ class _PendingRequest:
     enqueued_at: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchRecord:
-    """Accounting for one flushed micro-batch."""
+    """Accounting for one executed micro-batch.
+
+    Slotted: workers ship up to :data:`RECENT_BATCHES` of these per version
+    in every report, and the front end holds them all while it merges.
+    """
 
     size: int
     queue_depth: int  #: pending requests at the moment the batch was cut
     trigger: str
-    wall_ms: float
+    wall_ms: float  #: cut → executor returned (0 when the batch failed)
     failed: bool = False
+    wait_ms: float = 0.0  #: the oldest request's queue wait at the cut
 
 
 @dataclass(frozen=True)
 class SchedulerStats:
-    """Aggregate view over every batch a scheduler has flushed.
+    """Aggregate view over every batch a scheduler has executed.
 
     Counters (``batch_count``, ``trigger_counts``, sizes) are exact over
     the scheduler's whole lifetime; ``batches`` holds only the most recent
@@ -85,7 +92,7 @@ class SchedulerStats:
 
 
 class BatchingScheduler:
-    """Queue requests and flush dynamic micro-batches to an executor.
+    """Queue requests and run them through an executor in micro-batches.
 
     Parameters
     ----------
@@ -94,27 +101,26 @@ class BatchingScheduler:
         returning one result per payload (in order).  Runs on the worker
         thread; an exception fails every request in the batch.
     max_batch_size:
-        Flush as soon as this many requests are pending.
+        Upper bound on one batch; a longer queue is cut into several.
     max_wait_ms:
-        Flush a partial batch once its oldest request has waited this long.
-        ``0`` disables batching-by-wait: whatever is queued when the worker
-        wakes is flushed immediately.
+        Accepted and validated (it must not be negative) so existing
+        callers keep working; the work-conserving policy does not read it.
     clock:
-        Injectable monotonic clock (tests use a fake to make the timeout
-        policy deterministic).
+        Injectable monotonic clock stamping queue entry, the cut and the
+        executor's return (``BatchRecord.wait_ms`` / ``wall_ms``).
 
     Examples
     --------
-    Four queued requests and ``max_batch_size=4`` flush as one batch:
+    Four requests queued at once with ``max_batch_size=4`` run as one batch:
 
     >>> with BatchingScheduler(lambda xs: [x * 2 for x in xs],
-    ...                        max_batch_size=4, max_wait_ms=60_000.0) as s:
-    ...     futures = [s.submit(i) for i in range(4)]
+    ...                        max_batch_size=4) as s:
+    ...     futures = s.submit_many(range(4))
     ...     results = [f.result(timeout=30) for f in futures]
     >>> results
     [0, 2, 4, 6]
-    >>> s.stats().batch_count
-    1
+    >>> s.stats().batches[0].trigger
+    'size'
     """
 
     def __init__(
@@ -131,7 +137,6 @@ class BatchingScheduler:
             raise ValueError("max_wait_ms cannot be negative")
         self._execute = execute
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_ms) / 1000.0
         self.name = name
         self._clock = clock or time.monotonic
 
@@ -139,7 +144,6 @@ class BatchingScheduler:
         self._pending: Deque[_PendingRequest] = deque()
         self._closed = False
         self._draining = False
-        self._flush_requested = False
         self._submitted = 0
         self._completed = 0
         self._failed = 0
@@ -148,7 +152,6 @@ class BatchingScheduler:
         self._batched_requests = 0
         self._trigger_counts = {trigger: 0 for trigger in TRIGGERS}
         self._records: Deque[BatchRecord] = deque(maxlen=RECENT_BATCHES)
-        self.latencies = LatencyTracker()
 
         self._worker = threading.Thread(
             target=self._run, name=f"{name}-worker", daemon=True
@@ -158,18 +161,10 @@ class BatchingScheduler:
     # ----------------------------------------------------------- submission
     def submit(self, payload: object) -> Future:
         """Enqueue one request; the future resolves to the executor's result."""
-        future: Future = Future()
-        with self._cond:
-            if self._closed:
-                raise RuntimeError(f"{self.name} is closed")
-            self._pending.append(_PendingRequest(payload, future, self._clock()))
-            self._submitted += 1
-            self._max_queue_depth = max(self._max_queue_depth, len(self._pending))
-            self._cond.notify_all()
-        return future
+        return self.submit_many((payload,))[0]
 
     def submit_many(self, payloads: Sequence[object]) -> List[Future]:
-        """Enqueue several requests (one notify, preserving order)."""
+        """Enqueue several requests at once (one notify, preserving order)."""
         futures: List[Future] = []
         with self._cond:
             if self._closed:
@@ -181,14 +176,8 @@ class BatchingScheduler:
                 futures.append(future)
             self._submitted += len(futures)
             self._max_queue_depth = max(self._max_queue_depth, len(self._pending))
-            self._cond.notify_all()
+            self._cond.notify()
         return futures
-
-    def flush(self) -> None:
-        """Ask the worker to flush everything currently pending."""
-        with self._cond:
-            self._flush_requested = True
-            self._cond.notify_all()
 
     def close(self, drain: bool = True) -> None:
         """Stop accepting requests and shut the worker down.
@@ -257,55 +246,49 @@ class BatchingScheduler:
 
     # ----------------------------------------------------------- worker loop
     def _cut_batch(self) -> tuple:
-        """Wait until a flush trigger fires; cut and return the next batch.
+        """Wait until anything is pending; cut and return the next batch.
 
-        Returns ``(batch, trigger, depth)``; ``batch`` is None when the
-        scheduler is closed and the queue is exhausted.
+        Returns ``(batch, trigger, depth, cut_at, wait_s)``; ``batch`` is
+        None when the scheduler is closed and the queue is exhausted.
         """
         with self._cond:
             while True:
-                if self._pending:
-                    oldest_wait = self._clock() - self._pending[0].enqueued_at
-                    if len(self._pending) >= self.max_batch_size:
-                        trigger = "size"
-                    elif self._draining:
-                        trigger = "drain"
-                    elif self._flush_requested:
-                        trigger = "flush"
-                    elif self.max_wait_s == 0 or oldest_wait >= self.max_wait_s:
-                        trigger = "timeout"
-                    else:
-                        self._cond.wait(self.max_wait_s - oldest_wait)
-                        continue
-                    depth = len(self._pending)
-                    count = min(self.max_batch_size, depth)
-                    batch = []
-                    for _ in range(count):
-                        request = self._pending.popleft()
-                        # Claim the future before executing.  A client may
-                        # have cancelled while the request was queued; such
-                        # requests are dropped here, and claiming makes
-                        # later cancel() calls no-ops so the result/exception
-                        # hand-off below cannot race a client-side cancel.
-                        if request.future.set_running_or_notify_cancel():
-                            batch.append(request)
-                    if not self._pending:
-                        self._flush_requested = False
-                    if not batch:
-                        continue  # every popped request was already cancelled
-                    return batch, trigger, depth
-                if self._closed:
-                    return None, "", 0
-                self._flush_requested = False
-                self._cond.wait()
+                if not self._pending:
+                    if self._closed:
+                        return None, "", 0, 0.0, 0.0
+                    self._cond.wait()
+                    continue
+                # Stamp before popping: should the clock raise, every
+                # request is still queued for _run's failure path.
+                cut_at = self._clock()
+                wait_s = max(0.0, cut_at - self._pending[0].enqueued_at)
+                depth = len(self._pending)
+                if depth >= self.max_batch_size:
+                    trigger = "size"
+                elif self._draining:
+                    trigger = "drain"
+                else:
+                    trigger = "idle"
+                batch = []
+                for _ in range(min(self.max_batch_size, depth)):
+                    request = self._pending.popleft()
+                    # Claim the future before executing.  A client may have
+                    # cancelled while the request was queued; such requests
+                    # are dropped here, and claiming makes later cancel()
+                    # calls no-ops so the result/exception hand-off below
+                    # cannot race a client-side cancel.
+                    if request.future.set_running_or_notify_cancel():
+                        batch.append(request)
+                if batch:  # else every popped request was already cancelled
+                    return batch, trigger, depth, cut_at, wait_s
 
     def _run(self) -> None:
         try:
             while True:
-                batch, trigger, depth = self._cut_batch()
+                batch, trigger, depth, cut_at, wait_s = self._cut_batch()
                 if batch is None:
                     return
-                self._run_batch(batch, trigger, depth)
+                self._run_batch(batch, trigger, depth, cut_at, wait_s)
         except BaseException as exc:  # noqa: BLE001 - worker must not hang clients
             # Executor exceptions are forwarded per batch by _run_batch; only
             # infrastructure failures land here (e.g. a poisoned clock).  A
@@ -318,14 +301,13 @@ class BatchingScheduler:
                 RuntimeError(f"{self.name} worker thread died: {exc!r}")
             )
 
-    def _run_batch(self, batch: List[_PendingRequest], trigger: str, depth: int) -> None:
-        payloads = [request.payload for request in batch]
-        t0 = time.perf_counter()
+    def _run_batch(self, batch: List[_PendingRequest], trigger: str,
+                   depth: int, cut_at: float, wait_s: float) -> None:
         error: Optional[BaseException] = None
         results: Sequence[object] = ()
-        now = 0.0
+        done_at = cut_at
         try:
-            results = self._execute(payloads)
+            results = self._execute([request.payload for request in batch])
             if len(results) != len(batch):
                 raise RuntimeError(
                     f"executor returned {len(results)} results for "
@@ -334,29 +316,12 @@ class BatchingScheduler:
             # Inside the guard: the batch's futures are already claimed, so
             # anything raising past this point — even the injectable clock —
             # must fail the batch, not strand resolved-never futures.
-            now = self._clock()
+            done_at = self._clock()
         except BaseException as exc:  # noqa: BLE001 - forwarded to futures
             error = exc
-        wall_ms = (time.perf_counter() - t0) * 1000.0
 
-        # The futures were claimed in _cut_batch, so set_result/set_exception
-        # cannot race a client cancel; the guard below is a last line of
-        # defence keeping the worker alive should a future somehow already
-        # be resolved — one wedged future must never kill the loop.
-        if error is not None:
-            for request in batch:
-                try:
-                    request.future.set_exception(error)
-                except Exception:  # pragma: no cover - defensive
-                    pass
-        else:
-            for request, result in zip(batch, results):
-                self.latencies.record(max(0.0, now - request.enqueued_at))
-                try:
-                    request.future.set_result(result)
-                except Exception:  # pragma: no cover - defensive
-                    pass
-
+        # Account before resolving, so a client that sees its result also
+        # sees the batch in stats().
         with self._cond:
             if error is not None:
                 self._failed += len(batch)
@@ -370,7 +335,21 @@ class BatchingScheduler:
                     size=len(batch),
                     queue_depth=depth,
                     trigger=trigger,
-                    wall_ms=wall_ms,
+                    wall_ms=max(0.0, done_at - cut_at) * 1000.0,
                     failed=error is not None,
+                    wait_ms=wait_s * 1000.0,
                 )
             )
+
+        # The futures were claimed in _cut_batch, so set_result/set_exception
+        # cannot race a client cancel; the guard below is a last line of
+        # defence keeping the worker alive should a future somehow already
+        # be resolved — one wedged future must never kill the loop.
+        for index, request in enumerate(batch):
+            try:
+                if error is not None:
+                    request.future.set_exception(error)
+                else:
+                    request.future.set_result(results[index])
+            except Exception:  # pragma: no cover - defensive
+                pass

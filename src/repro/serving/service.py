@@ -107,7 +107,7 @@ class ServiceReport:
                 ("micro-batches", self.scheduler.batch_count),
                 ("mean batch size", self.scheduler.mean_batch_size),
                 ("max queue depth", self.scheduler.max_queue_depth),
-                ("flush triggers", ", ".join(
+                ("batch triggers", ", ".join(
                     f"{name}={count}"
                     for name, count in self.scheduler.trigger_counts.items()
                     if count
@@ -184,8 +184,12 @@ class InferenceService:
     engine:
         Shared engine; ``run_batch`` is reentrant so one engine serves every
         model.
-    max_batch_size / max_wait_ms:
-        Scheduler flush policy (see :class:`BatchingScheduler`).
+    max_batch_size:
+        Largest micro-batch one scheduler cuts (see
+        :class:`BatchingScheduler`).
+    max_wait_ms:
+        Passed to each scheduler, which validates it but does not wait on
+        it (see :class:`BatchingScheduler`).
     cache_capacity:
         LRU response-cache entries; ``0`` disables response caching.
     chunk_size:
@@ -381,26 +385,22 @@ class InferenceService:
         return self.submit(model, image).result(timeout=timeout)
 
     # ------------------------------------------------------------- lifecycle
-    def flush(self, model: Optional[str] = None) -> None:
-        """Force pending micro-batches out (all models by default).
+    def warm(self, model: str, digest: Optional[str] = None) -> None:
+        """Start a version's scheduler and run one all-zero batch through it.
 
-        A model that has not served any request yet has nothing pending, so
-        flushing it is a no-op rather than an error.
+        Rollout staging calls this so canary probes are not compared
+        cold against a warm stable version.  The batch shows in the
+        scheduler's stats only, not in request counts, latencies or cache.
         """
-        with self._lock:
-            if model is not None:
-                state = self._models.get(self.pool.canonical_name(model))
-                states = [state] if state is not None else []
-            else:
-                states = list(self._models.values())
-            schedulers = [v.scheduler for s in states for v in s.versions.values()]
-        for scheduler in schedulers:
-            scheduler.flush()
+        _, version = self._state_for(model, digest)
+        network = version.network
+        image = np.zeros(network.input_shape, dtype=network.input_dtype)
+        version.scheduler.submit(image).result()
 
     def retire(self, model: str, digest: str) -> None:
         """Drain and drop one resident version of ``model``.
 
-        Flushes and closes the version's scheduler (in-flight requests
+        Drains and closes the version's scheduler (in-flight requests
         complete against the old network first), drops the version state
         and removes the pool entry — after this, no reference into the
         version's backing storage remains in the service, so the caller

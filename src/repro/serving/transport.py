@@ -1019,7 +1019,8 @@ def _serve_session(channel: Channel, welcome, cache,
                 # version while the stable one keeps serving.  Registered
                 # inactive — nothing routes to it until digest-tagged
                 # canary probes arrive, and untagged traffic never sees it
-                # before an explicit commit.
+                # before an explicit commit.  Its serving path is warmed
+                # too, so canary latency compares warm against warm.
                 for model, digest, nbytes, shm_name in message[1]:
                     t0 = time.perf_counter()
                     try:
@@ -1027,6 +1028,7 @@ def _serve_session(channel: Channel, welcome, cache,
                         service.pool.register(attached.network, name=model,
                                               warm=True, digest=digest,
                                               activate=False)
+                        service.warm(model, digest)
                     except TransportClosed:
                         raise
                     except Exception as exc:  # noqa: BLE001 - staging must not kill serving

@@ -159,6 +159,16 @@ class TestRolloutController:
         assert ctl.decide() == "rollback"
         assert "latency" in ctl.rollback_reason
 
+    def test_sub_millisecond_latency_regression_rolls_back(self):
+        # A 10x slower canary must roll back at batch-1 latencies too.
+        ctl = make_controller()
+        ctl.worker_prepared("w0")
+        ctl.worker_prepared("w1")
+        ctl.record_comparison(True, 0.0004, 0.004)
+        ctl.record_comparison(True, 0.0004, 0.004)
+        assert ctl.decide() == "rollback"
+        assert "latency" in ctl.rollback_reason
+
     def test_phase_timeouts_always_terminate(self):
         for phase, setup in (
             ("staging", lambda c: None),

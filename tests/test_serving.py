@@ -1,7 +1,9 @@
 """Tests for the micro-batching inference service and its building blocks."""
 
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,54 +32,155 @@ def echo_executor(payloads):
     return [p * 2 for p in payloads]
 
 
+class GatedExecutor:
+    """Echo executor that blocks each call until ``gate`` is set.
+
+    Holding the worker inside one batch is how these tests queue requests
+    deterministically behind it: the work-conserving scheduler cuts
+    whatever is pending the moment its worker is free.
+    """
+
+    def __init__(self):
+        self.calls = []
+        self.busy = threading.Event()
+        self.gate = threading.Event()
+
+    def __call__(self, payloads):
+        self.calls.append(list(payloads))
+        self.busy.set()
+        if not self.gate.wait(WAIT_S):
+            raise TimeoutError("gate never opened")
+        return echo_executor(payloads)
+
+    def hold(self, scheduler):
+        """Occupy the worker with one gated batch; returns its future."""
+        future = scheduler.submit(0)
+        assert self.busy.wait(WAIT_S)
+        return future
+
+
+def close_while_held(close, closed, gate):
+    """Run ``close`` while a scheduler's worker is held, then open ``gate``.
+
+    ``close`` joins the worker, so it runs on a helper thread; the gate
+    opens only once ``closed()`` reports that the scheduler has stopped
+    accepting work, so whatever is queued is handled by the close policy,
+    not cut as an idle batch.
+    """
+    closer = threading.Thread(target=close)
+    closer.start()
+    deadline = time.perf_counter() + WAIT_S
+    while not closed() and time.perf_counter() < deadline:
+        time.sleep(0.001)
+    gate.set()
+    closer.join(WAIT_S)
+    assert not closer.is_alive()
+
+
 class TestBatchingScheduler:
     def test_size_triggered_flush(self):
-        with BatchingScheduler(echo_executor, max_batch_size=4,
+        executor = GatedExecutor()
+        with BatchingScheduler(executor, max_batch_size=4,
                                max_wait_ms=60_000.0) as scheduler:
-            futures = [scheduler.submit(i) for i in range(4)]
+            executor.hold(scheduler)
+            futures = [scheduler.submit(i) for i in range(1, 5)]
+            executor.gate.set()
             results = [f.result(timeout=WAIT_S) for f in futures]
-            assert results == [0, 2, 4, 6]
+            assert results == [2, 4, 6, 8]
             stats = scheduler.stats()
-        assert stats.batch_count == 1
-        assert stats.batches[0].size == 4
-        assert stats.batches[0].trigger == "size"
-        assert stats.completed == 4 and stats.failed == 0
+        assert stats.batch_count == 2
+        assert stats.batches[1].size == 4
+        assert stats.batches[1].trigger == "size"
+        assert stats.completed == 5 and stats.failed == 0
 
-    def test_timeout_triggered_flush(self):
+    def test_idle_worker_cuts_a_lone_request_at_once(self):
+        # A free worker never waits out max_wait_ms: the request runs now.
         with BatchingScheduler(echo_executor, max_batch_size=100,
-                               max_wait_ms=30.0) as scheduler:
+                               max_wait_ms=60_000.0) as scheduler:
             future = scheduler.submit(21)
-            assert future.result(timeout=WAIT_S) == 42
+            assert future.result(timeout=5.0) == 42
             stats = scheduler.stats()
         assert stats.batch_count == 1
-        assert stats.batches[0].trigger == "timeout"
+        assert stats.batches[0].trigger == "idle"
         assert stats.batches[0].size == 1
 
-    def test_manual_flush(self):
-        with BatchingScheduler(echo_executor, max_batch_size=100,
-                               max_wait_ms=60_000.0) as scheduler:
-            futures = [scheduler.submit(i) for i in (1, 2)]
-            scheduler.flush()
-            assert [f.result(timeout=WAIT_S) for f in futures] == [2, 4]
-            assert scheduler.stats().batches[0].trigger == "flush"
+    def test_requests_queued_behind_a_busy_worker_form_one_batch(self):
+        executor = GatedExecutor()
+        with BatchingScheduler(executor, max_batch_size=100) as scheduler:
+            executor.hold(scheduler)
+            futures = [scheduler.submit(i) for i in range(1, 6)]
+            executor.gate.set()
+            assert [f.result(timeout=WAIT_S) for f in futures] == [
+                2, 4, 6, 8, 10]
+            stats = scheduler.stats()
+        assert executor.calls == [[0], [1, 2, 3, 4, 5]]
+        assert [b.trigger for b in stats.batches] == ["idle", "idle"]
+        assert stats.batches[1].queue_depth == 5
+
+    def test_batch_wait_is_stamped_with_the_injected_clock(self):
+        now = [0.0]
+        executor = GatedExecutor()
+        with BatchingScheduler(executor, max_batch_size=100,
+                               clock=lambda: now[0]) as scheduler:
+            executor.hold(scheduler)
+            now[0] = 1.0
+            future = scheduler.submit(1)  # enqueued at t = 1.0
+            now[0] = 1.25
+            executor.gate.set()  # queued request is cut at t = 1.25
+            assert future.result(timeout=WAIT_S) == 2
+            stats = scheduler.stats()
+        assert stats.batches[0].wait_ms == 0.0
+        assert stats.batches[1].wait_ms == pytest.approx(250.0)
+        assert stats.batches[0].wall_ms == pytest.approx(1250.0)
 
     def test_drain_on_shutdown(self):
-        scheduler = BatchingScheduler(echo_executor, max_batch_size=100,
+        executor = GatedExecutor()
+        scheduler = BatchingScheduler(executor, max_batch_size=100,
                                       max_wait_ms=60_000.0)
+        executor.hold(scheduler)
         futures = scheduler.submit_many([1, 2, 3])
-        scheduler.close()  # drain=True: pending work still completes
+        close_while_held(scheduler.close, lambda: scheduler.closed,
+                         executor.gate)
         assert [f.result(timeout=WAIT_S) for f in futures] == [2, 4, 6]
         stats = scheduler.stats()
-        assert stats.batch_count == 1
-        assert stats.batches[0].trigger == "drain"
-        assert stats.completed == 3
+        assert stats.batch_count == 2
+        assert stats.batches[1].trigger == "drain"
+        assert stats.completed == 4
 
     def test_close_without_drain_cancels_pending(self):
-        scheduler = BatchingScheduler(echo_executor, max_batch_size=100,
+        executor = GatedExecutor()
+        scheduler = BatchingScheduler(executor, max_batch_size=100,
                                       max_wait_ms=60_000.0)
+        running = executor.hold(scheduler)
         futures = scheduler.submit_many([1, 2])
-        scheduler.close(drain=False)
+        close_while_held(lambda: scheduler.close(drain=False),
+                         lambda: scheduler.closed, executor.gate)
         assert all(f.cancelled() for f in futures)
+        assert running.result(timeout=WAIT_S) == 0  # already cut: completes
+
+    def test_concurrent_submitters_lose_no_request(self):
+        # More submitting threads than cores, switching often, against one
+        # worker: every request resolves to its own result exactly once.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with BatchingScheduler(echo_executor,
+                                   max_batch_size=8) as scheduler:
+                def client(base):
+                    futures = [scheduler.submit(base + i) for i in range(200)]
+                    return [f.result(timeout=WAIT_S) for f in futures]
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    bases = range(0, 8_000, 1_000)
+                    results = list(pool.map(client, bases))
+                stats = scheduler.stats()
+        finally:
+            sys.setswitchinterval(previous)
+        assert results == [[2 * (base + i) for i in range(200)]
+                           for base in bases]
+        assert stats.submitted == stats.completed == 1_600
+        assert stats.batched_requests == 1_600
+        assert all(1 <= batch.size <= 8 for batch in stats.batches)
 
     def test_submit_after_close_rejected(self):
         scheduler = BatchingScheduler(echo_executor)
@@ -88,7 +191,7 @@ class TestBatchingScheduler:
             scheduler.submit_many([1])
 
     def test_oversized_burst_splits_into_max_size_batches(self):
-        # Full batches cut on size; the leftover tail flushes on timeout.
+        # Full batches cut on size; the leftover tail runs as an idle cut.
         with BatchingScheduler(echo_executor, max_batch_size=3,
                                max_wait_ms=30.0) as scheduler:
             futures = scheduler.submit_many(list(range(7)))
@@ -96,10 +199,10 @@ class TestBatchingScheduler:
                 2 * i for i in range(7)
             ]
             stats = scheduler.stats()
-        assert all(batch.size <= 3 for batch in stats.batches)
-        assert sum(batch.size for batch in stats.batches) == 7
+        assert [batch.size for batch in stats.batches] == [3, 3, 1]
+        assert [batch.trigger for batch in stats.batches] == [
+            "size", "size", "idle"]
         assert stats.max_queue_depth == 7
-        assert stats.trigger_counts["size"] >= 2
 
     def test_executor_error_fails_the_batch(self):
         def broken(payloads):
@@ -128,47 +231,43 @@ class TestBatchingScheduler:
         with pytest.raises(ValueError):
             BatchingScheduler(echo_executor, max_wait_ms=-1.0)
 
-    def test_latencies_are_recorded(self):
-        with BatchingScheduler(echo_executor, max_batch_size=2,
-                               max_wait_ms=60_000.0) as scheduler:
-            futures = scheduler.submit_many([1, 2])
-            [f.result(timeout=WAIT_S) for f in futures]
-            assert len(scheduler.latencies) == 2
-
     def test_client_cancel_of_queued_request_does_not_kill_the_worker(self):
         # Regression: resolving an already-cancelled future raises
         # InvalidStateError; if that escaped, the worker thread died and the
         # scheduler silently wedged forever.  Cancelled requests are now
         # dropped when the batch is cut (set_running_or_notify_cancel).
-        with BatchingScheduler(echo_executor, max_batch_size=100,
+        executor = GatedExecutor()
+        with BatchingScheduler(executor, max_batch_size=100,
                                max_wait_ms=60_000.0) as scheduler:
+            executor.hold(scheduler)
             doomed = scheduler.submit(1)
             survivor = scheduler.submit(2)
             assert doomed.cancel()  # still queued: cancellable
-            scheduler.flush()
+            executor.gate.set()
             assert survivor.result(timeout=WAIT_S) == 4
             assert doomed.cancelled()
             # The worker must still be alive and serving new requests.
             later = scheduler.submit(5)
-            scheduler.flush()
             assert later.result(timeout=WAIT_S) == 10
+        assert [1] not in executor.calls and [2] in executor.calls
 
     def test_batch_of_only_cancelled_requests_is_skipped(self):
-        calls = []
-
-        def tracking_executor(payloads):
-            calls.append(list(payloads))
-            return [p * 2 for p in payloads]
-
-        with BatchingScheduler(tracking_executor, max_batch_size=100,
+        executor = GatedExecutor()
+        with BatchingScheduler(executor, max_batch_size=100,
                                max_wait_ms=60_000.0) as scheduler:
+            running = executor.hold(scheduler)
             future = scheduler.submit(1)
             assert future.cancel()
-            scheduler.flush()
+            executor.gate.set()
+            assert running.result(timeout=WAIT_S) == 0
+            deadline = time.perf_counter() + WAIT_S
+            while scheduler.queue_depth and time.perf_counter() < deadline:
+                time.sleep(0.001)
+            assert scheduler.queue_depth == 0  # the cancelled cut is done
             follow_up = scheduler.submit(3)
-            scheduler.flush()
             assert follow_up.result(timeout=WAIT_S) == 6
-        assert [3] in calls and [1] not in calls
+            assert scheduler.stats().batch_count == 2
+        assert executor.calls == [[0], [3]]
 
 
 class TestSchedulerWorkerDeath:
@@ -210,7 +309,6 @@ class TestSchedulerWorkerDeath:
             except RuntimeError:
                 break  # worker already died and closed the scheduler
         assert accepted, "first submit must be accepted"
-        scheduler.flush()  # wake the parked worker into its fatal clock call
         for future in accepted:
             # Depending on where the clock lands, the batch fails with the
             # raw clock error (claimed futures) or the queued requests fail
@@ -296,6 +394,21 @@ class TestLatencyMetrics:
         assert summary.p50_ms >= 90.0
         with pytest.raises(ValueError):
             LatencyTracker(window=0)
+
+    def test_rolled_over_window_matches_numpy_on_the_last_samples(self):
+        samples = np.random.default_rng(3).exponential(0.002, size=2_500)
+        tracker = LatencyTracker(window=1_000)
+        for seconds in samples:
+            tracker.record(float(seconds))
+        last = samples[-1_000:]
+        assert tracker.samples() == last.tolist()  # oldest first
+        assert tracker.quantile_s(99.0) == (2_500, np.percentile(last, 99.0))
+        summary = tracker.summary()
+        assert summary.count == 2_500
+        assert summary.p50_ms == np.percentile(last, 50.0) * 1000.0
+        assert summary.p90_ms == np.percentile(last, 90.0) * 1000.0
+        assert summary.max_ms == last.max() * 1000.0
+        assert summary.mean_ms == pytest.approx(last.mean() * 1000.0)
 
 
 class TestResponseCache:
@@ -442,6 +555,21 @@ def shared_pool():
     return ModelPool()
 
 
+class GatedEngine(PhoneBitEngine):
+    """Engine whose ``run_batch`` blocks until ``gate`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.busy = threading.Event()
+        self.gate = threading.Event()
+
+    def run_batch(self, *args, **kwargs):
+        self.busy.set()
+        if not self.gate.wait(WAIT_S):
+            raise TimeoutError("gate never opened")
+        return super().run_batch(*args, **kwargs)
+
+
 class TestInferenceService:
     def test_outputs_bit_identical_to_unbatched_run(self, shared_pool):
         engine = PhoneBitEngine()
@@ -489,27 +617,38 @@ class TestInferenceService:
             with pytest.raises(ValueError, match="expected one image"):
                 service.submit("MicroCNN", np.zeros((4, 4, 3), dtype=np.uint8))
 
-    def test_close_drains_pending_requests(self, shared_pool):
-        service = InferenceService(pool=shared_pool, max_batch_size=64,
-                                   max_wait_ms=60_000.0, cache_capacity=0)
+    def test_close_drains_pending_requests(self, shared_pool, monkeypatch):
+        # Record each scheduler the service closes, to open the gate only
+        # once the model's scheduler has stopped accepting work.
+        closing = []
+        close = BatchingScheduler.close
+
+        def recording_close(scheduler, drain=True):
+            closing.append(scheduler)
+            close(scheduler, drain)
+
+        monkeypatch.setattr(BatchingScheduler, "close", recording_close)
+        engine = GatedEngine()
+        service = InferenceService(pool=shared_pool, engine=engine,
+                                   max_batch_size=64, max_wait_ms=60_000.0,
+                                   cache_capacity=0)
         rng = np.random.default_rng(5)
-        images = rng.integers(0, 256, size=(3, 8, 8, 3)).astype(np.uint8)
-        futures = service.submit_batch("MicroCNN", images)
-        service.close()  # drain-on-shutdown
-        for future in futures:
+        images = rng.integers(0, 256, size=(4, 8, 8, 3)).astype(np.uint8)
+        held = service.submit("MicroCNN", images[0])
+        assert engine.busy.wait(WAIT_S)
+        futures = service.submit_batch("MicroCNN", images[1:])
+        close_while_held(service.close,
+                         lambda: any(s.closed for s in closing), engine.gate)
+        for future in [held] + futures:
             assert future.result(timeout=WAIT_S).shape == (10,)
-        assert service.report("MicroCNN").scheduler.trigger_counts["drain"] >= 1
+        triggers = service.report("MicroCNN").scheduler.trigger_counts
+        assert triggers["drain"] == 1
 
     def test_submit_after_close_rejected(self, shared_pool):
         service = InferenceService(pool=shared_pool, max_wait_ms=1.0)
         service.close()
         with pytest.raises(RuntimeError):
             service.submit("MicroCNN", np.zeros((8, 8, 3), dtype=np.uint8))
-
-    def test_flush_of_idle_model_is_a_noop(self, shared_pool):
-        with InferenceService(pool=shared_pool, max_wait_ms=1.0) as service:
-            service.flush("MicroCNN")  # valid model, no traffic yet
-            service.flush()  # flush-all on an idle service
 
     def test_responses_are_read_only(self, shared_pool):
         with InferenceService(pool=shared_pool, max_batch_size=4,
@@ -535,12 +674,23 @@ class TestInferenceService:
         assert report.requests_per_s > 0
         record = report.to_record()
         assert record["requests"] == 5
-        assert set(record["flush_triggers"]) == {"size", "timeout", "flush", "drain"}
+        assert set(record["flush_triggers"]) == {"size", "idle", "drain"}
         text = report.table()
         assert "Serving report" in text and "MicroCNN" in text
         assert "latency p99 (ms)" in text
         with pytest.raises(KeyError):
             service.report("VGG16")
+
+    def test_warm_runs_one_batch_outside_the_request_counts(self,
+                                                             shared_pool):
+        with InferenceService(pool=shared_pool, max_batch_size=4,
+                              cache_capacity=16) as service:
+            service.warm("MicroCNN")
+            report = service.report("MicroCNN")
+            assert len(service.cache) == 0
+        assert report.scheduler.batch_count == 1
+        assert report.requests == 0
+        assert report.latency.count == 0
 
     def test_model_names_are_canonicalized(self, shared_pool):
         # "microcnn" and "MicroCNN" must share one scheduler, one set of
