@@ -41,7 +41,7 @@ import subprocess
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -61,7 +61,7 @@ from repro.serving.router import (
     rendezvous_score,
     validate_slo,
 )
-from repro.serving.scheduler import TRIGGERS, SchedulerStats
+from repro.serving.scheduler import SchedulerStats
 from repro.serving.service import ServiceReport
 from repro.serving.shm_store import SharedModelStore, ShmModelHandle, attach_model
 from repro.serving.transport import (
@@ -240,7 +240,7 @@ DEFAULT_SLO_POLICIES: Mapping[str, SLOPolicy] = {
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Picklable per-worker service configuration."""
+    """Per-worker service configuration (sent as ``asdict`` in ``welcome``)."""
 
     max_batch_size: int = 32
     max_wait_ms: float = 2.0
@@ -457,26 +457,6 @@ class ClusterReport:
         for key in keys:
             parts.append(self.aggregated[key].table())
         return "\n\n".join(parts)
-
-
-def _merge_scheduler_stats(stats: Sequence[SchedulerStats]) -> SchedulerStats:
-    """Sum per-worker scheduler counters into one cluster-wide view."""
-    triggers = {trigger: 0 for trigger in TRIGGERS}
-    batches = []
-    for s in stats:
-        for name, count in s.trigger_counts.items():
-            triggers[name] = triggers.get(name, 0) + count
-        batches.extend(s.batches)
-    return SchedulerStats(
-        submitted=sum(s.submitted for s in stats),
-        completed=sum(s.completed for s in stats),
-        failed=sum(s.failed for s in stats),
-        batch_count=sum(s.batch_count for s in stats),
-        batched_requests=sum(s.batched_requests for s in stats),
-        trigger_counts=triggers,
-        batches=batches,
-        max_queue_depth=max((s.max_queue_depth for s in stats), default=0),
-    )
 
 
 def usable_cpus() -> int:
@@ -928,7 +908,8 @@ class ClusterService:
         manifest = [(h.model, h.digest, h.nbytes, h.shm_name)
                     for h in manifest_handles]
         try:
-            endpoint.send(("welcome", worker_id, manifest, self.config))
+            endpoint.send(("welcome", worker_id, manifest,
+                           asdict(self.config)))
         except TransportClosed:
             return None
         with self._lock:
@@ -1359,7 +1340,9 @@ class ClusterService:
                     if digest:
                         self.router.revoke_digest(worker_id, model, digest)
         elif kind == "reports":
-            _, worker_id, generation, reports = message
+            _, worker_id, generation, records = message
+            reports = {model: ServiceReport.from_dict(record)
+                       for model, record in records.items()}
             with self._lock:
                 self._report_inbox[(worker_id, generation)] = reports
                 self._report_arrived.notify_all()
@@ -2604,7 +2587,7 @@ class ClusterService:
             cache_misses=front_misses + sum(r.cache_misses
                                             for r in per_worker),
             latency=latency,
-            scheduler=_merge_scheduler_stats([r.scheduler for r in per_worker]),
+            scheduler=SchedulerStats.merge([r.scheduler for r in per_worker]),
             cache=None,
         )
 

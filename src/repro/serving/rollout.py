@@ -238,10 +238,6 @@ class RolloutController:
     def rollback_reason(self) -> Optional[str]:
         return self._rollback_reason
 
-    def prepared_workers(self) -> Tuple[str, ...]:
-        """Workers whose prepare ack arrived (sorted)."""
-        return tuple(sorted(self._prepared))
-
     # ------------------------------------------------------------- feeds
     def worker_prepared(self, worker: str) -> None:
         """A worker acked ``prepare``: the new digest is attached, warmed

@@ -572,11 +572,6 @@ class LeastOutstandingRouter:
                 if digest in self._digests.get(worker, {}).get(model, ())
             )
 
-    def worker_digests(self, worker: str, model: str) -> Set[str]:
-        """Versions of ``model`` declared resident on ``worker``."""
-        with self._lock:
-            return set(self._digests.get(worker, {}).get(model, ()))
-
     def generation(self, worker: str) -> Optional[int]:
         """Current registration generation of ``worker`` (``None`` if it is
         not registered — removed workers forget nothing, but expose
@@ -706,13 +701,6 @@ class LeastOutstandingRouter:
         with self._lock:
             return sorted(worker for worker in self._outstanding
                           if self._is_quarantined(worker))
-
-    def worker_ewma_latency_s(self, worker: str) -> Optional[float]:
-        """The worker's EWMA completion latency (``None`` before the
-        first completion or without a quarantine policy)."""
-        with self._lock:
-            health = self._health.get(worker)
-            return None if health is None else health.ewma_latency_s
 
     # ------------------------------------------------------------- routing
     def acquire(self, model: str, force: bool = False,

@@ -90,6 +90,28 @@ class SchedulerStats:
             return 0.0
         return self.batched_requests / self.batch_count
 
+    @staticmethod
+    def merge(stats: Sequence["SchedulerStats"]) -> "SchedulerStats":
+        """Sum several schedulers' stats (versions, workers) into one view.
+
+        Every :data:`TRIGGERS` key is present in the result; merging
+        nothing gives all-zero stats.
+        """
+        triggers = {trigger: 0 for trigger in TRIGGERS}
+        for s in stats:
+            for name, count in s.trigger_counts.items():
+                triggers[name] = triggers.get(name, 0) + count
+        return SchedulerStats(
+            submitted=sum(s.submitted for s in stats),
+            completed=sum(s.completed for s in stats),
+            failed=sum(s.failed for s in stats),
+            batch_count=sum(s.batch_count for s in stats),
+            batched_requests=sum(s.batched_requests for s in stats),
+            trigger_counts=triggers,
+            batches=[b for s in stats for b in s.batches],
+            max_queue_depth=max((s.max_queue_depth for s in stats), default=0),
+        )
+
 
 class BatchingScheduler:
     """Queue requests and run them through an executor in micro-batches.

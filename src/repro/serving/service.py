@@ -21,7 +21,8 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import CancelledError, Future
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -32,7 +33,10 @@ from repro.core.network import Network
 from repro.serving.cache import CacheStats, LRUResponseCache, response_cache_key
 from repro.serving.metrics import LatencySummary, LatencyTracker
 from repro.serving.pool import ModelPool
-from repro.serving.scheduler import BatchingScheduler, SchedulerStats
+from repro.serving.scheduler import BatchingScheduler, BatchRecord, SchedulerStats
+
+#: ``BatchRecord`` → positional row; ``BatchRecord(*row)`` inverts it.
+_batch_row = attrgetter(*(f.name for f in fields(BatchRecord)))
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,35 @@ class ServiceReport:
         """Hit rate of *this model's* cache lookups."""
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
+
+    def to_dict(self) -> dict:
+        """Plain JSON-able data; :meth:`from_dict` rebuilds an equal report.
+
+        This is the form a cluster worker's ``reports`` frame carries.  The
+        scheduler's batch records travel as positional rows, a third of the
+        size of one dict per record.
+        """
+        scheduler = asdict(replace(self.scheduler, batches=[]))
+        scheduler["batches"] = [_batch_row(b) for b in self.scheduler.batches]
+        return {
+            **{f.name: getattr(self, f.name) for f in fields(self)},
+            "latency": asdict(self.latency),
+            "scheduler": scheduler,
+            "cache": None if self.cache is None else asdict(self.cache),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ServiceReport":
+        """Inverse of :meth:`to_dict` (sequences may arrive as tuples)."""
+        scheduler = dict(data["scheduler"])
+        scheduler["batches"] = [BatchRecord(*row) for row in scheduler["batches"]]
+        cache = data["cache"]
+        return cls(**{
+            **data,
+            "latency": LatencySummary(**data["latency"]),
+            "scheduler": SchedulerStats(**scheduler),
+            "cache": None if cache is None else CacheStats(**cache),
+        })
 
     def to_record(self) -> dict:
         """JSON-serializable record for the benchmark trajectory."""
@@ -150,28 +183,6 @@ class _ModelState:
         self.cache_misses = 0
         self.first_submit: Optional[float] = None
         self.last_done: Optional[float] = None
-
-
-def _merge_scheduler_stats(stats: List[SchedulerStats]) -> SchedulerStats:
-    """Aggregate per-version scheduler stats into one per-model view."""
-    if len(stats) == 1:
-        return stats[0]
-    if not stats:  # every version retired since the last request
-        return SchedulerStats(submitted=0, completed=0, failed=0)
-    triggers: Dict[str, int] = {}
-    for s in stats:
-        for name, count in s.trigger_counts.items():
-            triggers[name] = triggers.get(name, 0) + count
-    return SchedulerStats(
-        submitted=sum(s.submitted for s in stats),
-        completed=sum(s.completed for s in stats),
-        failed=sum(s.failed for s in stats),
-        batch_count=sum(s.batch_count for s in stats),
-        batched_requests=sum(s.batched_requests for s in stats),
-        trigger_counts=triggers,
-        batches=[b for s in stats for b in s.batches],
-        max_queue_depth=max(s.max_queue_depth for s in stats),
-    )
 
 
 class InferenceService:
@@ -479,8 +490,7 @@ class InferenceService:
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             latency=state.latencies.summary(),
-            scheduler=_merge_scheduler_stats(
-                [s.stats() for s in schedulers]),
+            scheduler=SchedulerStats.merge([s.stats() for s in schedulers]),
             cache=self.cache.stats() if self.cache is not None else None,
         )
 

@@ -14,14 +14,15 @@ in the listener and in how a router-owned worker is launched:
   (cross-host); router-owned workers are exec'd ``repro.cli
   cluster-worker`` subprocesses, and external workers may dial in too.
 
-Messages cross sockets as **length-prefixed frames**.  The hot path —
-request images out, result rows back — is serialized without pickle: the
+Messages cross sockets as **length-prefixed frames** of one grammar: the
 message skeleton goes as JSON and every :class:`numpy.ndarray` payload is
 framed as raw bytes via ``memoryview`` (zero-copy vectored send, and a
-zero-copy ``np.frombuffer`` view on receive).  Cold-path messages whose
-skeletons JSON cannot express (``reports`` carrying dataclasses, the
-``welcome`` config) transparently fall back to pickling the *skeleton
-only* — bulk arrays are always extracted first.
+zero-copy ``np.frombuffer`` view on receive).  Cold-path messages carry
+plain data too — ``welcome`` the ``asdict`` of the worker config,
+``reports`` :meth:`ServiceReport.to_dict
+<repro.serving.service.ServiceReport.to_dict>` records — so no frame is
+ever unpickled.  A frame that does not decode fails its connection
+(:class:`TransportClosed`), never the thread reading it.
 
 Crash detection is connection loss plus heartbeat staleness; recovery is
 re-admission: a worker that lost its link reconnects (``hello`` again),
@@ -60,8 +61,8 @@ Addresses use URL-ish schemes; ``parse_address`` validates and splits:
 from __future__ import annotations
 
 import json
+import math
 import os
-import pickle
 import socket
 import struct
 import subprocess
@@ -109,21 +110,19 @@ class WorkerInitError(RuntimeError):
 # ---------------------------------------------------------------------------
 #
 # frame   := u32 length | body              (length covers the body only)
-# body    := u8 codec | u16 n_arrays | array_meta* | u32 skel_len | skeleton
+# body    := u16 n_arrays | array_meta* | u32 skel_len | skeleton
 #            | array_payload*               (payloads in meta order)
 # meta    := u8 dtype_len | dtype_str | u8 ndim | u64 dim*
-# codec   := 0 (JSON skeleton) | 1 (pickle skeleton)
+# skeleton:= UTF-8 JSON; each array leaf is replaced by {"__nd__": index}
 #
-# Array payloads are appended raw — never pickled, never copied on encode
-# (memoryview framing) and exposed as np.frombuffer views on decode.
+# Array payloads are appended raw — never copied on encode (memoryview
+# framing) and exposed as np.frombuffer views on decode.  A body that does
+# not parse as exactly this grammar is refused with ValueError.
 
 _LEN = struct.Struct("<I")
-_BODY_HEAD = struct.Struct("<BH")
+_N_ARRAYS = struct.Struct("<H")
 _SKEL_LEN = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-
-_CODEC_JSON = 0
-_CODEC_PICKLE = 1
 
 #: Upper bound on one frame body; a router/worker pair never legitimately
 #: exceeds this (the largest frame is one model artifact), and a corrupted
@@ -131,76 +130,15 @@ _CODEC_PICKLE = 1
 MAX_FRAME_BYTES = 1 << 31
 
 
-class _NDRef:
-    """Pickle-skeleton placeholder for an extracted array (by index)."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-
-#: Classes a pickle skeleton may reconstruct.  Cold-path skeletons only
-#: ever carry the serving-layer dataclasses (WorkerConfig, ServiceReport
-#: and friends), plain containers/scalars and NumPy scalar machinery —
-#: anything else in a frame is either a bug or an attack, so the unpickler
-#: refuses it rather than executing an arbitrary ``__reduce__`` payload.
-#: Builtins are allowlisted *by name*: the module as a whole contains
-#: classic gadgets (``eval``, ``exec``, ``getattr``, ``print``...).
-#: (The transport still assumes a trusted network — see
-#: ``docs/deployment.md`` — this merely removes the easiest escalation.)
-_SKELETON_MODULES = (
-    "repro.serving.cache",
-    "repro.serving.cluster",
-    "repro.serving.metrics",
-    "repro.serving.scheduler",
-    "repro.serving.service",
-    "repro.serving.transport",
-    # NumPy scalar/dtype reconstruction (e.g. a np.float64 inside a report).
-    "numpy",
-    "numpy.core.multiarray",
-    "numpy._core.multiarray",
-)
-_SKELETON_BUILTINS = frozenset({
-    "bool", "bytearray", "bytes", "complex", "dict", "float", "frozenset",
-    "int", "list", "set", "slice", "str", "tuple",
-})
-
-
-class _SkeletonUnpickler(pickle.Unpickler):
-    """Unpickler restricted to the message-skeleton class allowlist."""
-
-    def find_class(self, module: str, name: str):
-        if module in _SKELETON_MODULES or (
-                module == "builtins" and name in _SKELETON_BUILTINS):
-            return super().find_class(module, name)
-        raise pickle.UnpicklingError(
-            f"skeleton references disallowed class {module}.{name}"
-        )
-
-
-def _loads_skeleton(data: bytes):
-    import io
-
-    return _SkeletonUnpickler(io.BytesIO(data)).load()
-
-
-def _extract_arrays(obj, arrays: List[np.ndarray],
-                    placeholder: Callable[[int], object] = lambda i: {"__nd__": i}):
-    """Replace every ndarray in ``obj`` with a placeholder, collecting them.
-
-    ``placeholder`` makes the one traversal serve both codecs: the JSON
-    skeleton marks arrays as ``{"__nd__": i}``, the pickle skeleton as
-    :class:`_NDRef` (a dict marker could collide with payload dicts there).
-    """
+def _extract_arrays(obj, arrays: List[np.ndarray]):
+    """Replace every ndarray in ``obj`` with ``{"__nd__": i}``, collecting them."""
     if isinstance(obj, np.ndarray):
-        index = len(arrays)
         arrays.append(obj)
-        return placeholder(index)
+        return {"__nd__": len(arrays) - 1}
     if isinstance(obj, (list, tuple)):
-        return [_extract_arrays(item, arrays, placeholder) for item in obj]
+        return [_extract_arrays(item, arrays) for item in obj]
     if isinstance(obj, dict):
-        return {key: _extract_arrays(value, arrays, placeholder)
+        return {key: _extract_arrays(value, arrays)
                 for key, value in obj.items()}
     return obj
 
@@ -208,12 +146,13 @@ def _extract_arrays(obj, arrays: List[np.ndarray],
 def _restore_arrays(obj, arrays: Sequence[np.ndarray]):
     if isinstance(obj, dict):
         if set(obj) == {"__nd__"}:
-            return arrays[obj["__nd__"]]
+            index = obj["__nd__"]
+            if type(index) is not int or not 0 <= index < len(arrays):
+                raise ValueError(f"skeleton references no array {index!r}")
+            return arrays[index]
         return {key: _restore_arrays(value, arrays)
                 for key, value in obj.items()}
-    if isinstance(obj, _NDRef):
-        return arrays[obj.index]
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return tuple(_restore_arrays(item, arrays) for item in obj)
     return obj
 
@@ -231,8 +170,9 @@ def encode_message(message) -> List[memoryview]:
     ----------
     message : tuple
         Message of JSON-able scalars/containers plus ``np.ndarray`` leaves.
-        Non-JSON-able skeletons (dataclasses, bytes) fall back to pickle —
-        arrays are extracted either way.
+        Anything else (a dataclass, bytes, a function) raises ``TypeError``
+        here, at the sender: callers ship plain data such as
+        ``dataclasses.asdict(config)`` or ``ServiceReport.to_dict()``.
 
     Returns
     -------
@@ -249,14 +189,7 @@ def encode_message(message) -> List[memoryview]:
     """
     arrays: List[np.ndarray] = []
     skeleton = _extract_arrays(message, arrays)
-    try:
-        skel_bytes = json.dumps(skeleton, separators=(",", ":")).encode()
-        codec = _CODEC_JSON
-    except (TypeError, ValueError):
-        arrays = []
-        skeleton = _extract_arrays(message, arrays, placeholder=_NDRef)
-        skel_bytes = pickle.dumps(skeleton, protocol=pickle.HIGHEST_PROTOCOL)
-        codec = _CODEC_PICKLE
+    skel_bytes = json.dumps(skeleton, separators=(",", ":")).encode()
 
     meta = bytearray()
     payloads: List[memoryview] = []
@@ -271,7 +204,7 @@ def encode_message(message) -> List[memoryview]:
             meta.extend(_U64.pack(dim))
         payloads.append(memoryview(arr).cast("B"))
 
-    body_head = _BODY_HEAD.pack(codec, len(arrays))
+    body_head = _N_ARRAYS.pack(len(arrays))
     skel_head = _SKEL_LEN.pack(len(skel_bytes))
     body_len = (len(body_head) + len(meta) + len(skel_head) + len(skel_bytes)
                 + sum(len(p) for p in payloads))
@@ -291,6 +224,13 @@ def decode_message(body: memoryview):
     zero-copy, so the backing buffer must outlive the arrays (the channel
     hands each frame its own buffer, so this is automatic).
 
+    Raises
+    ------
+    ValueError
+        For any body that is not exactly one well-formed frame: truncated
+        or trailing bytes, bad JSON, an unknown dtype, a payload that does
+        not fill its shape, a dangling array reference.
+
     Examples
     --------
     >>> import numpy as np
@@ -299,39 +239,42 @@ def decode_message(body: memoryview):
     >>> (kind, worker, rid, float(row[0]))
     ('res', 'w1', 3, 1.5)
     """
-    codec, n_arrays = _BODY_HEAD.unpack_from(body, 0)
-    offset = _BODY_HEAD.size
-    metas: List[Tuple[str, Tuple[int, ...]]] = []
-    for _ in range(n_arrays):
-        dtype_len = body[offset]
-        offset += 1
-        dtype_str = bytes(body[offset:offset + dtype_len]).decode()
-        offset += dtype_len
-        ndim = body[offset]
-        offset += 1
-        shape = tuple(_U64.unpack_from(body, offset + 8 * i)[0]
-                      for i in range(ndim))
-        offset += 8 * ndim
-        metas.append((dtype_str, shape))
-    (skel_len,) = _SKEL_LEN.unpack_from(body, offset)
-    offset += _SKEL_LEN.size
-    skel_bytes = body[offset:offset + skel_len]
-    offset += skel_len
+    try:
+        (n_arrays,) = _N_ARRAYS.unpack_from(body, 0)
+        offset = _N_ARRAYS.size
+        metas: List[Tuple[np.dtype, Tuple[int, ...]]] = []
+        for _ in range(n_arrays):
+            dtype_len = body[offset]
+            dtype_str = bytes(body[offset + 1:offset + 1 + dtype_len]).decode()
+            try:
+                dtype = np.dtype(dtype_str)
+            except (TypeError, SyntaxError) as exc:  # it literal-evals some
+                raise ValueError(f"bad array dtype {dtype_str!r}") from exc
+            offset += 1 + dtype_len
+            ndim = body[offset]
+            shape = struct.unpack_from(f"<{ndim}Q", body, offset + 1)
+            offset += 1 + 8 * ndim
+            metas.append((dtype, shape))
+        (skel_len,) = _SKEL_LEN.unpack_from(body, offset)
+        offset += _SKEL_LEN.size
+        if offset + skel_len > len(body):
+            raise ValueError("frame body ends inside its skeleton")
+        skeleton = json.loads(bytes(body[offset:offset + skel_len]))
+        offset += skel_len
 
-    arrays: List[np.ndarray] = []
-    for dtype_str, shape in metas:
-        dtype = np.dtype(dtype_str)
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) \
-            if shape else dtype.itemsize
-        arr = np.frombuffer(body[offset:offset + nbytes], dtype=dtype)
-        arrays.append(arr.reshape(shape))
-        offset += nbytes
-
-    if codec == _CODEC_JSON:
-        skeleton = json.loads(bytes(skel_bytes))
-    else:
-        skeleton = _loads_skeleton(bytes(skel_bytes))
-    return _restore_arrays(skeleton, arrays)
+        arrays: List[np.ndarray] = []
+        for dtype, shape in metas:
+            nbytes = dtype.itemsize * math.prod(shape)
+            if offset + nbytes > len(body):
+                raise ValueError("frame body ends inside an array payload")
+            arr = np.frombuffer(body[offset:offset + nbytes], dtype=dtype)
+            arrays.append(arr.reshape(shape))
+            offset += nbytes
+        if offset != len(body):
+            raise ValueError(f"{len(body) - offset} trailing bytes in frame")
+        return _restore_arrays(skeleton, arrays)
+    except (struct.error, IndexError, RecursionError) as exc:
+        raise ValueError(f"malformed frame: {exc}") from exc
 
 
 #: Buffers per sendmsg call, kept under Linux's UIO_MAXIOV (1024) — a large
@@ -419,14 +362,18 @@ class Channel:
                 raise TransportClosed(str(exc)) from exc
 
     def recv(self):
-        """Receive one message (blocking); raises on EOF/teardown."""
+        """Receive one message (blocking); raises on EOF/teardown.
+
+        A frame that fails to decode also raises :class:`TransportClosed`:
+        the stream cannot be trusted past it, so the connection is failed.
+        """
         try:
             head = _recv_exact(self._sock, _LEN.size)
             (body_len,) = _LEN.unpack(head)
             if body_len > MAX_FRAME_BYTES:
                 raise TransportClosed(f"oversized frame: {body_len} bytes")
             return decode_message(_recv_exact(self._sock, body_len))
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             self._closed = True
             raise TransportClosed(str(exc)) from exc
 
@@ -586,10 +533,6 @@ class WorkerEndpoint:
                     message = self.channel.recv()
                 except TransportClosed:
                     break
-                except Exception:  # pragma: no cover - corrupt frame
-                    # A framing error is unrecoverable mid-stream; treat it
-                    # as a dead link so the supervisor requeues.
-                    break
                 try:
                     deliver(message)
                 except Exception:  # pragma: no cover - defensive
@@ -710,11 +653,11 @@ class SocketTransport:
             channel.close()
             return
         if not (isinstance(message, tuple) and len(message) == 2
-                and message[0] == "hello"):
+                and message[0] == "hello" and isinstance(message[1], dict)):
             channel.close()
             return
         conn.settimeout(None)
-        endpoint = self._register(channel, dict(message[1]))
+        endpoint = self._register(channel, message[1])
         if endpoint is None:
             channel.close()
             return
@@ -908,9 +851,11 @@ def _serve_session(channel: Channel, welcome, cache,
     """Run one connected session; returns ``"stop"`` or ``"lost"``."""
     from dataclasses import replace
 
+    from repro.serving.cluster import WorkerConfig
     from repro.serving.shm_store import ShmModelHandle
 
     _, worker_id, manifest, config = welcome
+    config = WorkerConfig(**config)
     if cli_threads is not None:
         config = replace(config, threads=cli_threads)
     if cli_backend is not None:
@@ -1081,7 +1026,8 @@ def _serve_session(channel: Channel, welcome, cache,
                     f"({freed} bytes)")
             elif kind == "report":
                 _send_response(("reports", worker_id, message[1],
-                                service.reports()))
+                                {model: report.to_dict() for model, report
+                                 in service.reports().items()}))
             elif kind == "stall":
                 # Fault injection: wedge this worker — serve loop blocked,
                 # heartbeats suppressed — for the requested window.  From
@@ -1096,7 +1042,6 @@ def _serve_session(channel: Channel, welcome, cache,
         hb_stop.set()
         service.close(drain=True)
         if outcome == "stop":
-            _send_response(("reports", worker_id, -1, service.reports()))
             _send_response(("bye", worker_id))
     return outcome
 

@@ -23,6 +23,7 @@ from repro.serving import (
     run_closed_loop,
     synthetic_images,
 )
+from repro.serving.scheduler import TRIGGERS, BatchRecord, SchedulerStats
 
 #: Generous wall-clock bound for any single future in these tests.
 WAIT_S = 30.0
@@ -268,6 +269,36 @@ class TestBatchingScheduler:
             assert follow_up.result(timeout=WAIT_S) == 6
             assert scheduler.stats().batch_count == 2
         assert executor.calls == [[0], [3]]
+
+
+def _stats(seed: int, triggers: dict) -> SchedulerStats:
+    batches = [BatchRecord(size=seed + i, queue_depth=i, trigger="idle",
+                           wall_ms=0.5 * i) for i in range(seed)]
+    return SchedulerStats(
+        submitted=10 * seed, completed=9 * seed, failed=seed,
+        batch_count=len(batches), batched_requests=sum(b.size for b in batches),
+        trigger_counts=triggers, batches=batches, max_queue_depth=seed)
+
+
+_MERGED = [
+    SchedulerStats(submitted=0, completed=0, failed=0),
+    _stats(2, {"size": 1, "idle": 1, "drain": 0}),
+    SchedulerStats(submitted=50, completed=45, failed=5, batch_count=5,
+                   batched_requests=5 + 12,
+                   trigger_counts={"size": 1, "idle": 4, "drain": 0},
+                   batches=_stats(2, {}).batches + _stats(3, {}).batches,
+                   max_queue_depth=3),
+]
+
+
+@pytest.mark.parametrize("parts", [0, 1, 2])
+def test_scheduler_stats_merge(parts):
+    """Zero, one or two inputs; every trigger key present in the result."""
+    stats = [_stats(2, {"size": 1, "idle": 1, "drain": 0}),
+             _stats(3, {"idle": 3})][:parts]
+    merged = SchedulerStats.merge(stats)
+    assert list(merged.trigger_counts) == list(TRIGGERS)
+    assert merged == _MERGED[parts]
 
 
 class TestSchedulerWorkerDeath:

@@ -10,13 +10,17 @@ and fetch model bytes through the digest-keyed per-host cache.
 import fcntl
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.serving import ClusterService, SharedModelStore
 from repro.serving.loadgen import run_closed_loop, synthetic_images
@@ -80,39 +84,41 @@ class TestCodec:
         _, back = roundtrip(("res", arr))
         assert np.array_equal(back, arr)
 
-    def test_pickle_fallback_for_dataclass_skeleton(self):
+    def test_welcome_config_roundtrips(self):
+        """``welcome`` carries the config as plain data, rebuilt exactly."""
         from repro.serving.cluster import WorkerConfig
 
-        config = WorkerConfig(max_batch_size=7, max_wait_ms=1.5)
-        arr = np.ones((2, 2), dtype=np.float32)
-        kind, wid, back_config, back_arr = roundtrip(
-            ("welcome", "w1", config, arr))
+        config = WorkerConfig(max_batch_size=7, max_wait_ms=1.5,
+                              chunk_bytes=None, backend="numpy")
+        manifest = [("MicroCNN", "ab" * 32, 1024, "repro-seg")]
+        kind, wid, back_manifest, back_config = roundtrip(
+            ("welcome", "w1", manifest, asdict(config)))
         assert (kind, wid) == ("welcome", "w1")
-        assert back_config == config
-        assert np.array_equal(back_arr, arr)
+        assert back_manifest == (tuple(manifest[0]),)
+        assert WorkerConfig(**back_config) == config
 
     def test_hostile_pickle_skeleton_rejected(self):
-        """The frame decoder must refuse classes outside the allowlist."""
+        """No frame is ever unpickled, and nothing is pickled to send."""
         import pickle
 
         class Evil:
             def __reduce__(self):
                 return (print, ("pwned",))
 
-        frame = b"".join(encode_message(("reports", "w0", 1, Evil())))
-        with pytest.raises(pickle.UnpicklingError):
-            decode_message(memoryview(frame)[4:])
-        # eval/getattr-style builtins gadgets are named explicitly out.
-        for gadget in (eval, getattr, print):
-            frame = b"".join(encode_message(("x", gadget)))
-            with pytest.raises(pickle.UnpicklingError):
-                decode_message(memoryview(frame)[4:])
+        # The retired pickle-skeleton frame: codec byte 1, no arrays.
+        skeleton = pickle.dumps(("reports", "w0", 1, Evil()))
+        body = struct.pack("<BHI", 1, 0, len(skeleton)) + skeleton
+        with pytest.raises(ValueError):
+            decode_message(memoryview(body))
+        for unsendable in (Evil(), object(), print, lambda: None):
+            with pytest.raises(TypeError):
+                encode_message(("reports", "w0", 1, unsendable))
 
-    def test_real_service_report_roundtrips_through_allowlist(self):
-        """The allowlist must still admit everything workers actually send."""
+    def test_real_service_report_roundtrips(self):
+        """A worker's ``reports`` payload rebuilds the very same reports."""
         from repro.core.engine import PhoneBitEngine
         from repro.serving.pool import ModelPool
-        from repro.serving.service import InferenceService
+        from repro.serving.service import InferenceService, ServiceReport
 
         pool = ModelPool()
         service = InferenceService(pool=pool, engine=PhoneBitEngine(),
@@ -124,11 +130,22 @@ class TestCodec:
             reports = service.reports()
         finally:
             service.close()
-        kind, wid, gen, back = roundtrip(("reports", "w0", 3, reports))
+        records = {model: report.to_dict() for model, report in reports.items()}
+        kind, wid, gen, back = roundtrip(("reports", "w0", 3, records))
         assert (kind, wid, gen) == ("reports", "w0", 3)
-        assert back["MicroCNN"].requests == reports["MicroCNN"].requests
-        assert (back["MicroCNN"].scheduler.completed
-                == reports["MicroCNN"].scheduler.completed)
+        assert reports["MicroCNN"].scheduler.batches
+        assert {model: ServiceReport.from_dict(record)
+                for model, record in back.items()} == reports
+
+    def test_malformed_bodies_raise_value_error(self):
+        frame = b"".join(encode_message(
+            ("res", "w0", 1, np.arange(6, dtype=np.float32).reshape(2, 3))))
+        body = frame[4:]
+        for malformed in (b"", b"\x01", body[:-1], body + b"\x00",
+                          body.replace(b"<f4", b"<q9"),  # unknown dtype
+                          body.replace(b'"res"', b'{res"')):  # bad JSON
+            with pytest.raises(ValueError):
+                decode_message(memoryview(malformed))
 
     def test_decoded_arrays_do_not_copy(self):
         arr = np.zeros((64, 64), dtype=np.uint8)
@@ -137,6 +154,74 @@ class TestCodec:
         # np.frombuffer views the receive buffer instead of copying.
         assert not back.flags.owndata
         assert len(frame) < arr.nbytes + 256  # raw framing, no pickle blowup
+
+
+def _fuzz_seed_bodies():
+    """Valid ``reqs`` / ``res`` / ``welcome`` / ``reports`` frame bodies."""
+    from repro.serving.cache import CacheStats
+    from repro.serving.cluster import WorkerConfig
+    from repro.serving.metrics import LatencySummary
+    from repro.serving.scheduler import BatchRecord, SchedulerStats
+    from repro.serving.service import ServiceReport
+
+    images = np.arange(2 * 4 * 4 * 3, dtype=np.uint8).reshape(2, 4, 4, 3)
+    report = ServiceReport(
+        model="MicroCNN", device="cpu", duration_s=0.5, requests=3,
+        cache_hits=1, cache_misses=2,
+        latency=LatencySummary(3, 1.5, 1.0, 2.0, 2.5, 3.0),
+        scheduler=SchedulerStats(
+            submitted=2, completed=2, failed=0, batch_count=2,
+            batched_requests=2, trigger_counts={"size": 0, "idle": 2, "drain": 0},
+            batches=[BatchRecord(1, 1, "idle", 0.25, False, 0.0),
+                     BatchRecord(1, 0, "idle", 0.5, False, 0.1)],
+            max_queue_depth=1),
+        cache=CacheStats(hits=1, misses=2, evictions=0, size=2, capacity=8),
+    )
+    messages = [
+        ("reqs", [(0, "MicroCNN", images[0], ""), (1, "MicroCNN", images[1], "ab")]),
+        ("res", "w0", 7, np.linspace(-1.0, 1.0, 10, dtype=np.float32)),
+        ("welcome", "w0", [("MicroCNN", "cd" * 32, 4096, "repro-x")],
+         asdict(WorkerConfig())),
+        ("reports", "w0", 2, {"MicroCNN": report.to_dict()}),
+    ]
+    return [b"".join(encode_message(m))[4:] for m in messages]
+
+
+FUZZ_SEED_BODIES = _fuzz_seed_bodies()
+
+
+@st.composite
+def mutated_bodies(draw):
+    """A valid frame body with bytes flipped, cut off or appended."""
+    body = bytearray(draw(st.sampled_from(FUZZ_SEED_BODIES)))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("flip", "truncate", "extend")))
+        if op == "flip" and body:
+            index = draw(st.integers(0, len(body) - 1))
+            body[index] ^= draw(st.integers(1, 255))
+        elif op == "truncate":
+            del body[draw(st.integers(0, len(body))):]
+        else:
+            body += draw(st.binary(min_size=1, max_size=16))
+    return bytes(body)
+
+
+class TestDecoderFuzz:
+    def test_seed_bodies_decode(self):
+        for body in FUZZ_SEED_BODIES:
+            assert decode_message(memoryview(body))[0] in (
+                "reqs", "res", "welcome", "reports")
+
+    @given(body=mutated_bodies())
+    # np.dtype literal-evals these dtype strings: SyntaxError, not TypeError.
+    @example(body=b"\x01\x00\x03,f1\x00\x00\x00\x00\x00")
+    @example(body=b"\x02\x00\x03|01\x03\x04\x00\x00")
+    def test_mutated_body_decodes_or_raises_value_error(self, body):
+        """Any other exception would kill a reader thread, not a link."""
+        try:
+            decode_message(memoryview(body))
+        except ValueError:
+            pass
 
 
 class TestAddresses:
@@ -483,6 +568,39 @@ def make_socket_cluster(transport, **kwargs):
     return ClusterService(transport=transport, **kwargs)
 
 
+class TestWorkerSession:
+    def test_stop_answers_bye_without_a_reports_frame(self):
+        """``stop`` drains and says ``bye``; nothing is left for the router
+        to decode at close."""
+        from repro.serving.cluster import WorkerConfig
+        from repro.serving.transport import _serve_session
+
+        left, right = socket.socketpair()
+        router, worker = Channel(left), Channel(right)
+        # No heartbeat inside the test's window: only session frames.
+        config = asdict(WorkerConfig(heartbeat_interval_s=WAIT_S))
+        outcome = []
+        session = threading.Thread(target=lambda: outcome.append(
+            _serve_session(worker, ("welcome", "w0", (), config), None, {},
+                           None, log=lambda _line: None)))
+        session.start()
+        try:
+            kinds = [router.recv()[0]]
+            router.send(("stop",))
+            session.join(timeout=WAIT_S)
+            worker.close()
+            while True:
+                try:
+                    kinds.append(router.recv()[0])
+                except TransportClosed:
+                    break
+        finally:
+            router.close()
+            worker.close()
+        assert outcome == ["stop"]
+        assert kinds == ["ready", "bye"]
+
+
 class TestSocketCluster:
     @pytest.mark.parametrize("transport", ["uds", "tcp"])
     def test_bit_identical_to_single_process(self, transport):
@@ -502,6 +620,47 @@ class TestSocketCluster:
                 if "MicroCNN" in wr
             )
             assert served == images.shape[0]
+
+    def test_malformed_first_frames_close_their_connection(self, monkeypatch):
+        """A frame that fails to decode fails its link, not a router thread."""
+        import pickle
+
+        def framed(body: bytes) -> bytes:
+            return struct.pack("<I", len(body)) + body
+
+        hostile = pickle.dumps(("hello", print))
+        malformed = [
+            # The retired pickle-skeleton frame (codec byte 1).
+            framed(struct.pack("<BHI", 1, 0, len(hostile)) + hostile),
+            # A JSON-codec frame whose skeleton is not JSON.
+            framed(struct.pack("<BHI", 0, 0, 9) + b'["hello",'),
+            # An unknown codec byte followed by garbage.
+            framed(struct.pack("<BHI", 7, 0, 3) + b"abc"),
+            # Well-formed, but the hello payload is not a dict.
+            b"".join(encode_message(("hello", 5))),
+        ]
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        with make_socket_cluster("uds", workers=1) as cluster:
+            _, path = parse_address(cluster.transport.address)
+            for frame in malformed:
+                with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                    sock.connect(path)
+                    sock.sendall(frame)
+                    sock.settimeout(2.0)
+                    try:
+                        assert sock.recv(1) == b""
+                    except ConnectionResetError:
+                        pass
+            images = synthetic_images((8, 8, 3), 4, seed=5)
+            baseline = cluster.baseline_service()
+            try:
+                base = run_closed_loop(baseline, "MicroCNN", images)
+            finally:
+                baseline.close()
+            run = run_closed_loop(cluster, "MicroCNN", images)
+            assert np.array_equal(run.rows(), base.rows())
+        assert uncaught == []
 
     @pytest.mark.parametrize("transport", ["tcp", "pipe"])
     def test_forced_digest_fetch_bit_identical(self, transport, monkeypatch):
