@@ -50,6 +50,127 @@ import argparse
 import sys
 
 
+def scaling_sweep(model, worker_counts, offered_batch, requests, max_wait_ms,
+                  seed, mp_context, transport) -> list:
+    """Closed-loop cluster throughput vs the single-process service.
+
+    Publishes ``model`` once into shared memory, measures a single-process
+    :class:`InferenceService` over the attached artifact as the baseline,
+    then sweeps the worker counts over ``transport`` (recorded on every
+    sweep point, so one BENCH file can compare transports at equal worker
+    counts).  Every sweep point's outputs are checked bit-identical against
+    the baseline before anything is recorded — both sides serve the same
+    published bytes, so equality is exact.
+
+    Warm-up (weight packing, plan compilation, NumPy internals) runs
+    through ``engine.run_batch`` on the attached artifact *before* any
+    measured service exists, so the recorded throughput and latency
+    percentiles cover exactly the measured requests.  Cluster workers warm
+    themselves at attach time (``ModelPool.register(warm=True)``); their
+    residual first-batch cost is part of every sweep point equally.
+    """
+    import numpy as np
+
+    from repro.core.engine import PhoneBitEngine
+    from repro.serving.cluster import ClusterService, usable_cpus
+    from repro.serving.loadgen import run_closed_loop, synthetic_images
+    from repro.serving.pool import ModelPool
+    from repro.serving.service import InferenceService
+    from repro.serving.shm_store import SharedModelStore, attach_model
+
+    store = SharedModelStore()
+    try:
+        handles = store.publish_models([model], rng=0)
+        key = next(iter(handles))
+        attached = attach_model(handles[key])
+        images = synthetic_images(attached.network.input_shape, requests,
+                                  seed=seed)
+
+        # One warm pass outside all timings and outside the measured
+        # services, so their request counters and latency windows stay
+        # exactly the measured run.
+        warm_engine = PhoneBitEngine(num_threads=1, backend="auto")
+        warm_engine.run_batch(attached.network, images[:2],
+                              collect_estimate=False)
+
+        pool = ModelPool(backend="auto")
+        pool.register(attached.network, name=key, warm=True)
+        baseline = InferenceService(
+            pool=pool, engine=warm_engine, max_batch_size=offered_batch,
+            max_wait_ms=max_wait_ms, cache_capacity=0,
+        )
+        try:
+            result = run_closed_loop(baseline, key, images)
+        finally:
+            baseline.close()
+        baseline_out = result.rows()
+        baseline_rps = result.achieved_rps
+
+        records = []
+        for workers in worker_counts:
+            cluster = ClusterService(
+                store=store, workers=int(workers),
+                max_batch_size=offered_batch, max_wait_ms=max_wait_ms,
+                cache_capacity=0, worker_threads=1, mp_context=mp_context,
+                transport=transport,
+            )
+            try:
+                run = run_closed_loop(cluster, key, images)
+                cluster_detail = cluster.cluster_report()
+            finally:
+                cluster.close()
+            if not np.array_equal(run.rows(), baseline_out):
+                raise AssertionError(
+                    f"cluster outputs diverged from the single-process "
+                    f"service at {workers} workers over {transport}"
+                )
+            report = run.report
+            records.append({
+                "op": "cluster_scaling",
+                "model": key,
+                "transport": transport,
+                "backend": "auto",
+                "workers": cluster_detail.workers,
+                "batch": int(offered_batch),
+                "shape": list(attached.network.input_shape),
+                "requests": int(images.shape[0]),
+                "req_per_s": run.achieved_rps,
+                "single_process_rps": baseline_rps,
+                "speedup_vs_single_process": (
+                    run.achieved_rps / baseline_rps if baseline_rps else float("inf")
+                ),
+                "latency_p50_ms": report.latency.p50_ms,
+                "latency_p99_ms": report.latency.p99_ms,
+                "mean_batch_size": report.scheduler.mean_batch_size,
+                "shm_attach_ms_mean": cluster_detail.attach_ms_mean,
+                "store_bytes": cluster_detail.store_bytes,
+                "host_cpus": usable_cpus(),
+                "bit_identical": True,
+            })
+        return records
+    finally:
+        store.close()
+
+
+def scaling_table(records, title) -> str:
+    """Render :func:`scaling_sweep` records as an aligned table."""
+    from repro.analysis.reporting import format_table
+
+    return format_table(
+        ["workers", "batch", "req/s", "1-proc req/s", "speedup",
+         "p50 (ms)", "p99 (ms)", "attach (ms)"],
+        [
+            [r["workers"], r["batch"], r["req_per_s"],
+             r["single_process_rps"],
+             f"{r['speedup_vs_single_process']:.2f}x",
+             r["latency_p50_ms"], r["latency_p99_ms"],
+             r["shm_attach_ms_mean"]]
+            for r in records
+        ],
+        title=title,
+    )
+
+
 def open_loop_sweep(model, workers, offered_batch, requests, overload_x,
                     max_wait_ms, seed, mp_context, transport) -> list:
     """Open-loop overload trajectory: shed / retry-after vs offered load.
@@ -191,7 +312,7 @@ def main(argv=None) -> int:
                              "usable host CPUs (scaling needs parallelism)")
     args = parser.parse_args(argv)
 
-    from repro.serving.cluster import scaling_sweep, scaling_table, usable_cpus
+    from repro.serving.cluster import usable_cpus
     from repro.serving.loadgen import write_sweep_records
 
     transports = tuple(

@@ -28,6 +28,131 @@ Usage:
 
 import argparse
 import sys
+import time
+
+
+def sequential_baseline(engine, network, images) -> tuple:
+    """Per-request ``engine.run`` over ``images``: (outputs, wall_s).
+
+    This is the pre-serving client path exactly as shipped — including the
+    per-request simulated cost estimate ``engine.run`` always computes.
+    """
+    import numpy as np
+
+    outputs = []
+    t0 = time.perf_counter()
+    for i in range(images.shape[0]):
+        outputs.append(engine.run(network, images[i:i + 1]).output.data[0])
+    wall_s = time.perf_counter() - t0
+    return np.stack(outputs), wall_s
+
+
+def sequential_forward_baseline(engine, network, images) -> float:
+    """Wall seconds for per-request execution *without* the cost estimate.
+
+    Reported alongside the ``engine.run`` baseline so the benchmark records
+    separate how much of the serving speedup comes from micro-batching the
+    kernels versus from not re-running the cost model per request.
+    """
+    t0 = time.perf_counter()
+    for i in range(images.shape[0]):
+        engine.run_batch(network, images[i:i + 1], collect_estimate=False)
+    return time.perf_counter() - t0
+
+
+def throughput_sweep(model, offered_batches, requests_per_level, max_wait_ms,
+                     seed) -> list:
+    """Closed-loop serving throughput vs the sequential baseline.
+
+    For each offered batch level ``b`` a fresh service is configured with
+    ``max_batch_size=b`` and fed ``requests_per_level`` requests
+    back-to-back; the same images then run through per-request
+    ``engine.run`` calls for the baseline.  Outputs are checked
+    bit-identical before anything is recorded.
+    """
+    import numpy as np
+
+    from repro.core.engine import PhoneBitEngine
+    from repro.serving.loadgen import run_closed_loop, synthetic_images
+    from repro.serving.pool import ModelPool
+    from repro.serving.service import InferenceService
+
+    engine = PhoneBitEngine()
+    pool = ModelPool()
+    network = pool.get(model)
+    images = synthetic_images(network.input_shape, requests_per_level, seed=seed)
+
+    # One warm pass (weight packing, NumPy internals) outside all timings.
+    engine.run_batch(network, images[:2], collect_estimate=False)
+    baseline_out, baseline_s = sequential_baseline(engine, network, images)
+    baseline_rps = images.shape[0] / baseline_s if baseline_s > 0 else float("inf")
+    forward_s = sequential_forward_baseline(engine, network, images)
+    forward_rps = images.shape[0] / forward_s if forward_s > 0 else float("inf")
+
+    records = []
+    for offered in offered_batches:
+        service = InferenceService(
+            pool=pool,
+            engine=engine,
+            max_batch_size=int(offered),
+            max_wait_ms=max_wait_ms,
+            cache_capacity=0,  # throughput measurements must not hit the cache
+        )
+        try:
+            result = run_closed_loop(service, model, images)
+        finally:
+            service.close()
+        if not np.array_equal(result.rows(), baseline_out):
+            raise AssertionError(
+                f"serving outputs diverged from unbatched execution at "
+                f"offered batch {offered}"
+            )
+        report = result.report
+        records.append(
+            {
+                "op": "serving_throughput",
+                "model": model,
+                "offered_batch": int(offered),
+                # Canonical trajectory aliases (tools/check_bench_schema.py):
+                # every BENCH record carries {op|model, shape|batch,
+                # ns_per_op|req_per_s} under exactly those key spellings.
+                "batch": int(offered),
+                "req_per_s": result.achieved_rps,
+                "requests": int(images.shape[0]),
+                "sequential_rps": baseline_rps,
+                "sequential_forward_rps": forward_rps,
+                "speedup_vs_sequential": (
+                    result.achieved_rps / baseline_rps if baseline_rps else float("inf")
+                ),
+                "speedup_vs_forward_only": (
+                    result.achieved_rps / forward_rps if forward_rps else float("inf")
+                ),
+                "latency_p50_ms": report.latency.p50_ms,
+                "latency_p99_ms": report.latency.p99_ms,
+                "mean_batch_size": report.scheduler.mean_batch_size,
+                "batches": report.scheduler.batch_count,
+                "bit_identical": True,
+            }
+        )
+    return records
+
+
+def sweep_table(records, title) -> str:
+    """Render :func:`throughput_sweep` records as an aligned table."""
+    from repro.analysis.reporting import format_table
+
+    return format_table(
+        ["offered batch", "req/s", "seq req/s", "fwd req/s", "speedup",
+         "p50 (ms)", "p99 (ms)", "mean batch"],
+        [
+            [r["offered_batch"], r["req_per_s"], r["sequential_rps"],
+             r["sequential_forward_rps"],
+             f"{r['speedup_vs_sequential']:.2f}x",
+             r["latency_p50_ms"], r["latency_p99_ms"], r["mean_batch_size"]]
+            for r in records
+        ],
+        title=title,
+    )
 
 
 def main(argv=None) -> int:
@@ -49,7 +174,7 @@ def main(argv=None) -> int:
                              "speedup over sequential engine.run")
     args = parser.parse_args(argv)
 
-    from repro.serving import sweep_table, throughput_sweep, write_sweep_records
+    from repro.serving.loadgen import write_sweep_records
 
     if args.quick:
         batches = (1, 16, 64)
@@ -66,7 +191,11 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
 
-    print(sweep_table(records, title=f"Serving throughput — {args.model}"))
+    print(sweep_table(
+        records,
+        title=f"Serving throughput — {args.model} ({requests} requests/level, "
+              "outputs verified bit-identical to unbatched engine.run)",
+    ))
     if args.json:
         print(write_sweep_records(records, args.json))
 

@@ -9,21 +9,23 @@ Usage (no console-script entry point is installed; invoke the module):
     python -m repro.cli figure5     [--device sd855]
     python -m repro.cli ablations
     python -m repro.cli summary     <model.pbit>
-    python -m repro.cli serve-bench [--model MicroCNN] [--batches 1,4,16,64]
     python -m repro.cli loadgen     [--model MicroCNN] [--rps 200]
     python -m repro.cli rollout     [--model MicroCNN] [--divergent]
     python -m repro.cli rollback    [--model MicroCNN]
     python -m repro.cli cluster-worker --connect tcp://HOST:PORT
 
 Each sub-command regenerates one of the paper's tables/figures, inspects a
-``.pbit`` model file, or exercises the micro-batching inference service
-(``serve-bench`` sweeps closed-loop throughput vs the sequential engine;
-``loadgen`` offers an open-loop Poisson load and reports tail latency).
-Both serving commands take ``--workers N`` to route the same traffic
-through a sharded :class:`~repro.serving.cluster.ClusterService` instead
-of one in-process service, and ``--transport pipe|uds|tcp`` to pick the
-worker wire (see ``docs/architecture.md`` and ``docs/deployment.md``).
-``loadgen`` additionally takes ``--autoscale MIN:MAX`` (elastic fleet —
+``.pbit`` model file, or exercises the micro-batching inference service.
+``loadgen`` offers an open-loop Poisson load and reports tail latency;
+``--workers N`` routes the same traffic through a sharded
+:class:`~repro.serving.cluster.ClusterService` instead of one in-process
+service, and ``--transport pipe|uds|tcp`` picks the worker wire (see
+``docs/architecture.md`` and ``docs/deployment.md``).  Closed-loop
+throughput sweeps are benchmarks, not commands:
+``benchmarks/bench_serving_throughput.py`` (service vs sequential
+``engine.run``) and ``benchmarks/bench_cluster_scaling.py`` (cluster vs
+single process).
+``loadgen`` also takes ``--autoscale MIN:MAX`` (elastic fleet —
 grow on sustained shedding, shrink when idle), ``--pin MODEL=K,...``
 (attach each model only to its rendezvous top-K workers), and
 ``--chaos SEED:PLAN`` (seeded deterministic fault injection — e.g.
@@ -169,55 +171,11 @@ def parse_scenario_argument(text: str):
 BACKEND_CHOICES = ("auto", "numpy", "cffi")
 
 
-def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
-    """Shared fused-executor knobs for the bench subcommands."""
-    parser.add_argument(
-        "--chunk-hint", type=parse_byte_size, default=None, metavar="BYTES",
-        help="working-set byte budget for run_batch chunking (e.g. 64M); "
-             "default uses the engine's built-in budget",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None, metavar="N",
-        help="fused-executor tile threads (default: REPRO_NUM_THREADS or "
-             "all cores)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default=None,
-        help="compiled kernel backend for the fused plan (default: "
-             "REPRO_BACKEND or auto — compile where possible, verified "
-             "bit-exact, NumPy fallback otherwise)",
-    )
-
-
-def _add_transport_arguments(parser: argparse.ArgumentParser) -> None:
-    """Shared cluster-transport knobs for the serving subcommands."""
-    parser.add_argument(
-        "--transport", choices=("pipe", "uds", "tcp"), default="pipe",
-        help="how cluster workers are launched and connected: forked, on a "
-             "private Unix-domain socket (single host, default); exec'd, "
-             "on a Unix-domain socket; or exec'd, over TCP (cross-host)",
-    )
-    parser.add_argument(
-        "--bind", default=None, metavar="ADDR",
-        help="socket-transport listen address (tcp://host:port or "
-             "uds:///path); defaults to TCP loopback on an ephemeral port "
-             "or a temp-dir socket path",
-    )
-    parser.add_argument(
-        "--expect-workers", type=int, default=0, metavar="N",
-        help="wait for N externally launched cluster-worker processes to "
-             "self-register (socket transports; combine with --workers 0 "
-             "to spawn none locally)",
-    )
-
-
 def _wants_cluster(args) -> bool:
     """Route through a ClusterService instead of one in-process service?"""
     return (args.workers > 1 or args.transport != "pipe"
-            or args.expect_workers > 0
-            or getattr(args, "autoscale", None) is not None
-            or getattr(args, "pin", None) is not None
-            or getattr(args, "slo", None) is not None)
+            or args.expect_workers > 0 or args.autoscale is not None
+            or args.pin is not None or args.slo is not None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,28 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     summary = subparsers.add_parser("summary", help="summarize a .pbit model file")
     summary.add_argument("path", help="path to a .pbit file")
-
-    serve_bench = subparsers.add_parser(
-        "serve-bench",
-        help="closed-loop serving throughput sweep vs sequential engine.run",
-    )
-    serve_bench.add_argument("--model", default="MicroCNN",
-                             help="serving-zoo model (MicroCNN / TinyCNN / ...)")
-    serve_bench.add_argument("--batches", default="1,4,16,64",
-                             help="comma-separated offered batch levels")
-    serve_bench.add_argument("--requests", type=int, default=64,
-                             help="requests per offered-load level")
-    serve_bench.add_argument("--max-wait-ms", type=float, default=2.0,
-                             help="accepted for compatibility; the work-conserving "
-                                  "scheduler does not wait on it")
-    serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.add_argument("--json", metavar="PATH", default=None,
-                             help="also write records to PATH ('-' for stdout)")
-    serve_bench.add_argument("--workers", type=int, default=1, metavar="N",
-                             help="serve through a ClusterService of N worker "
-                                  "processes instead of one in-process service")
-    _add_transport_arguments(serve_bench)
-    _add_execution_arguments(serve_bench)
 
     loadgen = subparsers.add_parser(
         "loadgen",
@@ -339,8 +275,40 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the scenario N times with seeds "
                               "SEED..SEED+N-1 and aggregate per-class "
                               "attainment (scenario mode)")
-    _add_transport_arguments(loadgen)
-    _add_execution_arguments(loadgen)
+    loadgen.add_argument(
+        "--transport", choices=("pipe", "uds", "tcp"), default="pipe",
+        help="how cluster workers are launched and connected: forked, on a "
+             "private Unix-domain socket (single host, default); exec'd, "
+             "on a Unix-domain socket; or exec'd, over TCP (cross-host)",
+    )
+    loadgen.add_argument(
+        "--bind", default=None, metavar="ADDR",
+        help="socket-transport listen address (tcp://host:port or "
+             "uds:///path); defaults to TCP loopback on an ephemeral port "
+             "or a temp-dir socket path",
+    )
+    loadgen.add_argument(
+        "--expect-workers", type=int, default=0, metavar="N",
+        help="wait for N externally launched cluster-worker processes to "
+             "self-register (socket transports; combine with --workers 0 "
+             "to spawn none locally)",
+    )
+    loadgen.add_argument(
+        "--chunk-hint", type=parse_byte_size, default=None, metavar="BYTES",
+        help="working-set byte budget for run_batch chunking (e.g. 64M); "
+             "default uses the engine's built-in budget",
+    )
+    loadgen.add_argument(
+        "--threads", type=int, default=None, metavar="N",
+        help="fused-executor tile threads (default: REPRO_NUM_THREADS or "
+             "all cores)",
+    )
+    loadgen.add_argument(
+        "--backend", choices=BACKEND_CHOICES, default=None,
+        help="compiled kernel backend for the fused plan (default: "
+             "REPRO_BACKEND or auto — compile where possible, verified "
+             "bit-exact, NumPy fallback otherwise)",
+    )
 
     def _add_rollout_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--model", default="MicroCNN",
@@ -426,65 +394,6 @@ def _command_summary(path: str) -> str:
 
     network = load_network(path)
     return network.summary()
-
-
-def _command_serve_bench(args) -> str:
-    from repro.core.engine import PhoneBitEngine
-    from repro.serving import sweep_table, throughput_sweep, write_sweep_records
-
-    batches = tuple(int(b) for b in str(args.batches).split(",") if b.strip())
-    if _wants_cluster(args):
-        from repro.serving.cluster import scaling_sweep, scaling_table
-
-        if args.expect_workers > 0 and len(batches) > 1:
-            raise SystemExit(
-                "serve-bench: --expect-workers supports a single --batches "
-                "level (each level's cluster close() stops the external "
-                "workers; restart them between levels or use one level)"
-            )
-        records = []
-        for batch in batches:
-            records.extend(scaling_sweep(
-                model=args.model,
-                worker_counts=(args.workers,),
-                offered_batch=batch,
-                requests=args.requests,
-                max_wait_ms=args.max_wait_ms,
-                seed=args.seed,
-                worker_threads=args.threads,
-                worker_backend=args.backend or "auto",
-                chunk_bytes=args.chunk_hint,
-                transport=args.transport,
-                bind=args.bind,
-                expect_workers=args.expect_workers,
-            ))
-        table = scaling_table(
-            records,
-            title=f"Cluster serving throughput — {args.model} "
-                  f"({args.workers}+{args.expect_workers} workers over "
-                  f"{args.transport}, outputs verified bit-identical "
-                  "to the single-process service)",
-        )
-        if args.json:
-            table = table + "\n" + write_sweep_records(records, args.json)
-        return table
-    records = throughput_sweep(
-        model=args.model,
-        offered_batches=batches,
-        requests_per_level=args.requests,
-        max_wait_ms=args.max_wait_ms,
-        seed=args.seed,
-        engine=PhoneBitEngine(num_threads=args.threads, backend=args.backend),
-        chunk_bytes=args.chunk_hint,
-    )
-    table = sweep_table(
-        records,
-        title=f"Serving throughput — {args.model} ({args.requests} requests/level, "
-              "outputs verified bit-identical to unbatched engine.run)",
-    )
-    if args.json:
-        table = table + "\n" + write_sweep_records(records, args.json)
-    return table
 
 
 def _cluster_kwargs(args) -> dict:
@@ -735,8 +644,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         ])
     elif args.command == "summary":
         output = _command_summary(args.path)
-    elif args.command == "serve-bench":
-        output = _command_serve_bench(args)
     elif args.command == "loadgen":
         output = _command_loadgen(args)
     elif args.command == "rollout":

@@ -6,16 +6,17 @@ dynamically micro-batched into ``PhoneBitEngine.run_batch`` calls, models
 are held warm in a pool, repeated inputs are answered from an LRU response
 cache, and every request contributes to p50/p99 latency and throughput
 metrics.  See ``docs/serving.md`` for the architecture.
+
+The package exports the two front doors (:class:`InferenceService`,
+:class:`ClusterService`), what their public signatures take, return or
+raise, and the load helpers the CLI, the bench scripts and the docs import
+from the package.  Everything else — scheduler, router, transport,
+autoscaler and rollout cores, scenarios, stats rows — is imported from its
+own module.
 """
 
-from repro.serving.autoscale import (
-    Autoscaler,
-    AutoscaleConfig,
-    AutoscaleSignals,
-    FakeClock,
-    ScaleEvent,
-)
-from repro.serving.cache import CacheStats, LRUResponseCache, input_digest
+from repro.serving.autoscale import AutoscaleConfig, ScaleEvent
+from repro.serving.cache import CacheStats
 from repro.serving.cluster import (
     DEFAULT_SLO_POLICIES,
     ClusterOverloadError,
@@ -24,174 +25,61 @@ from repro.serving.cluster import (
     DeadlineExceededError,
     RetryPolicy,
     SLOPolicy,
-    WorkerConfig,
     WorkerCrashError,
-    scaling_sweep,
 )
-from repro.serving.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-    parse_chaos_spec,
-)
+from repro.serving.faults import FaultEvent, FaultPlan
 from repro.serving.loadgen import (
-    OUTCOMES,
-    LoadPhase,
     LoadResult,
     drive,
     matches_baseline,
-    rollout_hook,
-    phased_poisson_offsets,
     poisson_offsets,
-    run_arrival_schedule,
-    run_closed_loop,
-    sequential_baseline,
-    sequential_forward_baseline,
+    rollout_hook,
     settle_rollout,
-    sweep_table,
     synthetic_images,
-    throughput_sweep,
     write_sweep_records,
 )
-from repro.serving.metrics import LatencySummary, LatencyTracker, percentile_ms
-from repro.serving.pool import ModelPool, PoolEntry
-from repro.serving.scheduler import (
-    BatchingScheduler,
-    BatchRecord,
-    SchedulerStats,
-    TRIGGERS,
-)
-from repro.serving.rollout import (
-    ROLLOUT_PHASES,
-    RolloutConfig,
-    RolloutController,
-)
+from repro.serving.pool import ModelPool
+from repro.serving.rollout import RolloutConfig
 from repro.serving.router import (
     SLO_CLASSES,
-    LeastOutstandingRouter,
     QuarantinePolicy,
-    RouterStats,
     default_slo_reserves,
     pin_counts_from_shares,
-    rendezvous_score,
-    validate_slo,
-)
-from repro.serving.scenarios import (
-    BUNDLED_SCENARIOS,
-    ClassSummary,
-    PassAggregate,
-    ScenarioResult,
-    ScenarioSchedule,
-    ScenarioSpec,
-    TenantSpec,
-    TenantSummary,
-    aggregate_passes,
-    resolve_scenario,
-    run_scenario,
-    run_scenario_passes,
 )
 from repro.serving.service import InferenceService, ServiceReport
-from repro.serving.shm_store import (
-    AttachedModel,
-    HostModelCache,
-    SharedModelStore,
-    ShmModelHandle,
-    artifact_digest,
-    attach_model,
-)
-from repro.serving.transport import (
-    Channel,
-    PipeTransport,
-    SocketTransport,
-    TransportClosed,
-    run_cluster_worker,
-)
+from repro.serving.shm_store import SharedModelStore
 
 __all__ = [
-    "AttachedModel",
-    "Autoscaler",
+    # the front doors and what their public signatures take, return or raise
     "AutoscaleConfig",
-    "AutoscaleSignals",
-    "FakeClock",
-    "ScaleEvent",
-    "pin_counts_from_shares",
-    "rendezvous_score",
-    "BatchRecord",
-    "BatchingScheduler",
     "CacheStats",
-    "Channel",
-    "HostModelCache",
-    "PipeTransport",
-    "SocketTransport",
-    "TransportClosed",
-    "artifact_digest",
-    "run_cluster_worker",
     "ClusterOverloadError",
     "ClusterReport",
     "ClusterService",
+    "DEFAULT_SLO_POLICIES",
     "DeadlineExceededError",
     "FaultEvent",
-    "FaultInjector",
     "FaultPlan",
-    "FaultRule",
+    "InferenceService",
+    "ModelPool",
     "QuarantinePolicy",
-    "ROLLOUT_PHASES",
     "RetryPolicy",
     "RolloutConfig",
-    "RolloutController",
-    "parse_chaos_spec",
-    "BUNDLED_SCENARIOS",
-    "DEFAULT_SLO_POLICIES",
-    "SLO_CLASSES",
-    "ClassSummary",
-    "PassAggregate",
-    "ScenarioResult",
-    "ScenarioSchedule",
-    "ScenarioSpec",
     "SLOPolicy",
-    "TenantSpec",
-    "TenantSummary",
-    "aggregate_passes",
-    "default_slo_reserves",
-    "phased_poisson_offsets",
-    "poisson_offsets",
-    "resolve_scenario",
-    "run_arrival_schedule",
-    "run_scenario",
-    "run_scenario_passes",
-    "validate_slo",
-    "InferenceService",
-    "LRUResponseCache",
-    "LatencySummary",
-    "LatencyTracker",
-    "LeastOutstandingRouter",
-    "ModelPool",
-    "PoolEntry",
-    "RouterStats",
-    "SchedulerStats",
+    "SLO_CLASSES",
+    "ScaleEvent",
     "ServiceReport",
     "SharedModelStore",
-    "ShmModelHandle",
-    "TRIGGERS",
-    "WorkerConfig",
     "WorkerCrashError",
-    "attach_model",
-    "scaling_sweep",
-    "input_digest",
-    "percentile_ms",
-    "run_closed_loop",
-    "LoadPhase",
+    "default_slo_reserves",
+    "pin_counts_from_shares",
+    # load generation, as the CLI and the bench scripts import it
     "LoadResult",
-    "OUTCOMES",
     "drive",
     "matches_baseline",
+    "poisson_offsets",
     "rollout_hook",
-    "sequential_baseline",
     "settle_rollout",
-    "sequential_forward_baseline",
-    "sweep_table",
     "synthetic_images",
-    "throughput_sweep",
     "write_sweep_records",
 ]

@@ -85,7 +85,6 @@ __all__ = [
     "DEFAULT_SLO_POLICIES",
     "WorkerCrashError",
     "WorkerConfig",
-    "scaling_sweep",
 ]
 
 
@@ -459,6 +458,20 @@ class ClusterReport:
         return "\n\n".join(parts)
 
 
+def _send(endpoint, frame) -> bool:
+    """Send ``frame`` on ``endpoint``; ``False`` if the link is dead.
+
+    A failed send is never an error here: the dead link's ``conn_lost`` /
+    death handler owns the cleanup, and callers that must act at once
+    (requeue, skip the worker) branch on the result.
+    """
+    try:
+        endpoint.send(frame)
+        return True
+    except (TransportClosed, ValueError, OSError):
+        return False
+
+
 def usable_cpus() -> int:
     """CPUs this process may actually run on.
 
@@ -497,10 +510,8 @@ class _FaultController:
             worker = self._cluster._workers.get(worker_id)
         if worker is None:
             return
-        try:
-            worker.endpoint.send(("stall", float(seconds)))
-        except (TransportClosed, ValueError, OSError):
-            pass  # dying link: close enough to a stall already
+        # dying link: close enough to a stall already
+        _send(worker.endpoint, ("stall", float(seconds)))
 
 
 class ClusterService:
@@ -729,7 +740,8 @@ class ClusterService:
         self._lock = threading.Lock()
         self._slot_free = threading.Condition(self._lock)
         self._report_arrived = threading.Condition(self._lock)
-        self._report_inbox: Dict[tuple, Dict[str, ServiceReport]] = {}
+        #: ``{generation: {worker_id: reports}}`` for each poll in flight.
+        self._report_inbox: Dict[int, Dict[str, Dict[str, ServiceReport]]] = {}
         self._report_gen = 0
         self._workers: Dict[str, _Worker] = {}
         self._pending: Dict[int, _Pending] = {}
@@ -1185,14 +1197,7 @@ class ClusterService:
             with self._lock:
                 worker = self._workers.get(worker_id)
                 endpoint = worker.endpoint if worker is not None else None
-            delivered = False
-            if endpoint is not None:
-                try:
-                    endpoint.send(("reqs", items))
-                    delivered = True
-                except (TransportClosed, ValueError, OSError):
-                    pass
-            if not delivered:
+            if endpoint is None or not _send(endpoint, ("reqs", items)):
                 for rid, _, _, _ in items:
                     with self._lock:
                         entry = self._pending.get(rid)
@@ -1344,8 +1349,10 @@ class ClusterService:
             reports = {model: ServiceReport.from_dict(record)
                        for model, record in records.items()}
             with self._lock:
-                self._report_inbox[(worker_id, generation)] = reports
-                self._report_arrived.notify_all()
+                inbox = self._report_inbox.get(generation)
+                if inbox is not None:  # else that poll has already returned
+                    inbox[worker_id] = reports
+                    self._report_arrived.notify_all()
         elif kind == "fetch":
             self._handle_fetch(message)
         elif kind == "conn_lost":
@@ -1374,10 +1381,8 @@ class ClusterService:
             reply = ("blob", digest, payload)
         except KeyError as exc:
             reply = ("blob_error", digest, str(exc))
-        try:
-            worker.endpoint.send(reply)
-        except (TransportClosed, ValueError, OSError):
-            pass  # dead link: its conn_lost handler owns the cleanup
+        # dead link: its conn_lost handler owns the cleanup
+        _send(worker.endpoint, reply)
 
     def _handle_prepared(self, message: tuple) -> None:
         """A worker acked ``prepare``: the new version is staged on it."""
@@ -1398,10 +1403,8 @@ class ClusterService:
                     # its *untagged* local state would lag the cluster.
                     straggler = worker.endpoint
         if straggler is not None:
-            try:
-                straggler.send(("commit", model, digest))
-            except (TransportClosed, ValueError, OSError):
-                pass  # dying link: its death handler discounts the worker
+            # dying link: its death handler discounts the worker
+            _send(straggler, ("commit", model, digest))
         self._rollout_tick()
 
     def _handle_ready(self, message: tuple) -> None:
@@ -1443,10 +1446,8 @@ class ClusterService:
             orphans, self._orphans = self._orphans, []
             self._slot_free.notify_all()
         for endpoint, frame in prepare_sends:
-            try:
-                endpoint.send(frame)
-            except (TransportClosed, ValueError, OSError):
-                pass  # dying link: its death handler discounts the worker
+            # dying link: its death handler discounts the worker
+            _send(endpoint, frame)
         # Converge attachments before redispatching parked work, so a
         # force-acquire can land on a worker that just gained the model.
         self._refresh_pinning()
@@ -1712,10 +1713,8 @@ class ClusterService:
                     "retry budget exhausted"
                 ))
         for endpoint, message in sends:
-            try:
-                endpoint.send(message)
-            except (TransportClosed, ValueError, OSError):
-                pass  # dying link: its death handler requeues the rid
+            # dying link: its death handler requeues the rid
+            _send(endpoint, message)
 
     # ------------------------------------------------------------- supervision
     def _supervise(self) -> None:
@@ -1963,9 +1962,7 @@ class ClusterService:
             if not failed_future.done():
                 failed_future.set_exception(failure)
             return
-        try:
-            endpoint.send(message)
-        except (TransportClosed, ValueError, OSError):
+        if not _send(endpoint, message):
             # The replacement's link closed under us.  Its conn_lost event
             # may not have arrived yet, so declare the death ourselves:
             # that removes the worker from the router/worker maps and
@@ -2029,20 +2026,16 @@ class ClusterService:
                     worker.models -= surplus
                     revokes.append((worker, sorted(surplus)))
         for worker, manifest, models in sends:
-            try:
-                worker.endpoint.send(("attach", manifest))
-            except (TransportClosed, ValueError, OSError):
+            if not _send(worker.endpoint, ("attach", manifest)):
                 continue  # dying link: its death handler re-pins again
             for model in models:
                 self.router.add_worker_model(worker.worker_id, model)
                 self.router.declare_digest(worker.worker_id, model,
                                            self._handles[model].digest)
         for worker, models in revokes:
-            try:
-                worker.endpoint.send(
-                    ("detach", [(model, "") for model in models]))
-            except (TransportClosed, ValueError, OSError):
-                pass  # dying link: death already frees everything
+            # dying link: death already frees everything
+            _send(worker.endpoint,
+                  ("detach", [(model, "") for model in models]))
 
     def measured_model_shares(self) -> Dict[str, float]:
         """Observed request count per model since startup.
@@ -2273,10 +2266,8 @@ class ClusterService:
         frame = ("prepare", [(new_handle.model, new_handle.digest,
                               new_handle.nbytes, new_handle.shm_name)])
         for endpoint in sends:
-            try:
-                endpoint.send(frame)
-            except (TransportClosed, ValueError, OSError):
-                pass  # dying link: its death handler discounts the worker
+            # dying link: its death handler discounts the worker
+            _send(endpoint, frame)
         self._rollout_tick()  # a holder-less publish finalizes immediately
         return new_handle.digest
 
@@ -2296,10 +2287,7 @@ class ClusterService:
                 if worker is not None:
                     sends.append(worker.endpoint)
         for endpoint in sends:
-            try:
-                endpoint.send(frame)
-            except (TransportClosed, ValueError, OSError):
-                pass
+            _send(endpoint, frame)
         self._rollout_tick()
 
     def rollback(self, model: str,
@@ -2413,10 +2401,8 @@ class ClusterService:
         comparison = _CanaryComparison(self, key, new_digest)
         comparison.watch("stable", primary_future, primary_started)
         comparison.watch("canary", future, now)
-        try:
-            endpoint.send(("reqs", [(rid, key, image, new_digest)]))
-        except (TransportClosed, ValueError, OSError):
-            pass  # dying link: the death handler drops the probe
+        # dying link: the death handler drops the probe
+        _send(endpoint, ("reqs", [(rid, key, image, new_digest)]))
 
     def _rollout_tick(self) -> None:
         """Drive every live rollout one decision step.
@@ -2512,40 +2498,31 @@ class ClusterService:
                         pass
                     del self._rollouts[key]
         for endpoint, frame in sends:
-            try:
-                endpoint.send(frame)
-            except (TransportClosed, ValueError, OSError):
-                pass  # dying link: its death handler owns the cleanup
+            # dying link: its death handler owns the cleanup
+            _send(endpoint, frame)
 
     # ------------------------------------------------------------- reporting
     def worker_reports(self, timeout: float = 10.0) -> Dict[str, Dict[str, ServiceReport]]:
-        """Poll every ready worker for its per-model ``ServiceReport`` s."""
+        """Poll every ready worker for its per-model ``ServiceReport`` s.
+
+        Workers that do not answer within ``timeout`` are left out; their
+        late replies are dropped on arrival, never stored.
+        """
         with self._lock:
             self._report_gen += 1
             generation = self._report_gen
-            candidates = [w for w in self._workers.values()
-                          if w.ready and not w.stopping]
-            targets = []
-            for worker in candidates:
-                try:
-                    worker.endpoint.send(("report", generation))
-                except (TransportClosed, ValueError, OSError):  # pragma: no cover
-                    continue  # dying worker: a reply can never come
-                targets.append(worker)
-        deadline = time.perf_counter() + timeout
-        collected: Dict[str, Dict[str, ServiceReport]] = {}
-        with self._lock:
-            while len(collected) < len(targets):
-                for worker in targets:
-                    key = (worker.worker_id, generation)
-                    if key in self._report_inbox:
-                        collected[worker.worker_id] = self._report_inbox.pop(key)
-                if len(collected) >= len(targets):
-                    break
+            collected = self._report_inbox[generation] = {}
+            targets = sum(
+                1 for w in self._workers.values()
+                if w.ready and not w.stopping
+                and _send(w.endpoint, ("report", generation)))
+            deadline = time.perf_counter() + timeout
+            while len(collected) < targets:
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
                     break
                 self._report_arrived.wait(timeout=min(0.05, remaining))
+            del self._report_inbox[generation]
         return collected
 
     def report(self, model: str,
@@ -2658,164 +2635,3 @@ class ClusterService:
         service_kwargs.setdefault("cache_capacity", self._cache_capacity)
         service_kwargs.setdefault("chunk_bytes", self.config.chunk_bytes)
         return InferenceService(pool=pool, **service_kwargs)
-
-
-# ---------------------------------------------------------------------------
-# scaling sweep (shared by the CLI and benchmarks/bench_cluster_scaling.py)
-# ---------------------------------------------------------------------------
-
-def scaling_table(records: Sequence[dict], title: Optional[str] = None) -> str:
-    """Render :func:`scaling_sweep` records as an aligned table.
-
-    Single rendering path shared by ``repro.cli serve-bench --workers N``
-    and ``benchmarks/bench_cluster_scaling.py`` (same discipline as
-    :func:`repro.serving.loadgen.sweep_table`).
-    """
-    from repro.analysis.reporting import format_table
-
-    return format_table(
-        ["workers", "batch", "req/s", "1-proc req/s", "speedup",
-         "p50 (ms)", "p99 (ms)", "attach (ms)"],
-        [
-            [r["workers"], r["batch"], r["req_per_s"],
-             r["single_process_rps"],
-             f"{r['speedup_vs_single_process']:.2f}x",
-             r["latency_p50_ms"], r["latency_p99_ms"],
-             r["shm_attach_ms_mean"]]
-            for r in records
-        ],
-        title=title,
-    )
-
-def scaling_sweep(
-    model: str = "MicroCNN",
-    worker_counts: Sequence[int] = (1, 2, 4, 8),
-    offered_batch: int = 64,
-    requests: int = 256,
-    max_wait_ms: float = 2.0,
-    seed: int = 0,
-    mp_context=None,
-    worker_threads: Optional[int] = 1,
-    chunk_bytes: Optional[int] = None,
-    transport: str = "pipe",
-    bind: Optional[str] = None,
-    expect_workers: int = 0,
-    worker_backend: str = "auto",
-) -> List[dict]:
-    """Closed-loop cluster throughput vs the single-process service.
-
-    ``worker_backend`` selects the kernel backend both the baseline and
-    every worker warm with (``auto``/``numpy``/``cffi``), so
-    the comparison stays apples-to-apples; the spec is recorded per sweep
-    point.
-
-    ``transport`` selects the worker wire (``pipe`` / ``uds`` / ``tcp``;
-    see :mod:`repro.serving.transport`) and is recorded on every sweep
-    point, so one BENCH file can compare transports at equal worker
-    counts.  ``expect_workers`` waits for externally launched
-    ``cluster-worker`` processes on top of the locally spawned ones.
-
-    Publishes ``model`` once into shared memory, measures a single-process
-    :class:`InferenceService` over the attached artifact as the baseline,
-    then sweeps the worker counts.  Every sweep point's outputs are checked
-    bit-identical against the baseline before anything is recorded — both
-    sides serve the same published bytes, so equality is exact.
-
-    Warm-up (weight packing, plan compilation, NumPy internals) runs
-    through ``engine.run_batch`` on the attached artifact *before* any
-    measured service exists, so the recorded throughput and latency
-    percentiles cover exactly the measured requests — the same discipline
-    as :func:`repro.serving.loadgen.throughput_sweep`.  Cluster workers
-    warm themselves at attach time (``ModelPool.register(warm=True)``);
-    their residual first-batch cost is part of every sweep point equally.
-    """
-    from repro.serving.loadgen import run_closed_loop, synthetic_images
-
-    if expect_workers > 0 and len(tuple(worker_counts)) > 1:
-        # close() gracefully stops external workers, so only one sweep
-        # point can ever see them — the second would hang at startup
-        # waiting for registrations that cannot come.
-        raise ValueError(
-            "expect_workers supports a single worker_counts entry: external "
-            "workers exit when the first sweep point's cluster closes"
-        )
-    store = SharedModelStore()
-    try:
-        handles = store.publish_models([model], rng=0)
-        key = next(iter(handles))
-        attached = attach_model(handles[key])
-        images = synthetic_images(attached.network.input_shape, requests,
-                                  seed=seed)
-
-        from repro.core.engine import PhoneBitEngine
-        from repro.serving.pool import ModelPool
-        from repro.serving.service import InferenceService
-
-        # One warm pass outside all timings and outside the measured
-        # services, so their request counters and latency windows stay
-        # exactly the measured run.
-        warm_engine = PhoneBitEngine(num_threads=worker_threads,
-                                     backend=worker_backend)
-        warm_engine.run_batch(attached.network, images[:2],
-                              collect_estimate=False, chunk_bytes=chunk_bytes)
-
-        pool = ModelPool(backend=worker_backend)
-        pool.register(attached.network, name=key, warm=True)
-        baseline = InferenceService(
-            pool=pool, engine=warm_engine, max_batch_size=offered_batch,
-            max_wait_ms=max_wait_ms, cache_capacity=0, chunk_bytes=chunk_bytes,
-        )
-        try:
-            result = run_closed_loop(baseline, key, images)
-        finally:
-            baseline.close()
-        baseline_out = result.rows()
-        baseline_rps = result.achieved_rps
-
-        records: List[dict] = []
-        for workers in worker_counts:
-            cluster = ClusterService(
-                store=store, workers=int(workers),
-                max_batch_size=offered_batch, max_wait_ms=max_wait_ms,
-                cache_capacity=0, worker_threads=worker_threads,
-                worker_backend=worker_backend,
-                chunk_bytes=chunk_bytes, mp_context=mp_context,
-                transport=transport, bind=bind,
-                expect_workers=expect_workers,
-            )
-            try:
-                run = run_closed_loop(cluster, key, images)
-                cluster_detail = cluster.cluster_report()
-            finally:
-                cluster.close()
-            if not np.array_equal(run.rows(), baseline_out):
-                raise AssertionError(
-                    f"cluster outputs diverged from the single-process "
-                    f"service at {workers} workers over {transport}"
-                )
-            report = run.report
-            records.append({
-                "op": "cluster_scaling",
-                "model": key,
-                "transport": transport,
-                "backend": worker_backend,
-                "workers": cluster_detail.workers,
-                "batch": int(offered_batch),
-                "shape": list(attached.network.input_shape),
-                "requests": int(images.shape[0]),
-                "req_per_s": run.achieved_rps,
-                "single_process_rps": baseline_rps,
-                "speedup_vs_single_process": (
-                    run.achieved_rps / baseline_rps if baseline_rps else float("inf")
-                ),
-                "latency_p50_ms": report.latency.p50_ms,
-                "latency_p99_ms": report.latency.p99_ms,
-                "mean_batch_size": report.scheduler.mean_batch_size,
-                "shm_attach_ms_mean": cluster_detail.attach_ms_mean,
-                "store_bytes": cluster_detail.store_bytes,
-                "host_cpus": usable_cpus(),
-                "bit_identical": True,
-            })
-        return records
-    finally:
-        store.close()

@@ -18,13 +18,6 @@ Both return a :class:`LoadResult`, a per-arrival ledger: every offered
 arrival ends in exactly one of :data:`OUTCOMES`, so lossless accounting
 holds by construction, and :func:`matches_baseline` checks every completed
 row bit-identical to a single-process baseline over the same inputs.
-
-:func:`throughput_sweep` drives the closed loop across several offered
-batch levels and compares each against the per-request ``engine.run``
-baseline — the exact path a client would hit without the serving layer.
-Every sweep point also verifies bit-identical outputs between the scheduled
-micro-batches and unbatched execution, so the speedup is never bought with
-a correctness drift.
 """
 
 from __future__ import annotations
@@ -37,14 +30,12 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.reporting import format_kv
-from repro.core.engine import PhoneBitEngine
 from repro.serving.cluster import (
     ClusterOverloadError,
     DeadlineExceededError,
     WorkerCrashError,
 )
 from repro.serving.metrics import percentile_ms
-from repro.serving.pool import ModelPool
 from repro.serving.service import InferenceService, ServiceReport
 
 __all__ = [
@@ -58,12 +49,8 @@ __all__ = [
     "rollout_hook",
     "run_arrival_schedule",
     "run_closed_loop",
-    "sequential_baseline",
-    "sequential_forward_baseline",
     "settle_rollout",
-    "sweep_table",
     "synthetic_images",
-    "throughput_sweep",
     "write_sweep_records",
 ]
 
@@ -131,29 +118,6 @@ def run_arrival_schedule(offsets: Sequence[float], arrive,
             time.sleep(delay)
         arrive(index)
     return t0
-
-
-def sweep_table(records: Sequence[dict], title: Optional[str] = None) -> str:
-    """Render :func:`throughput_sweep` records as an aligned table.
-
-    Single rendering path shared by ``repro.cli serve-bench`` and
-    ``benchmarks/bench_serving_throughput.py`` so the two cannot drift when
-    the record schema changes.
-    """
-    from repro.analysis.reporting import format_table
-
-    return format_table(
-        ["offered batch", "req/s", "seq req/s", "fwd req/s", "speedup",
-         "p50 (ms)", "p99 (ms)", "mean batch"],
-        [
-            [r["offered_batch"], r["req_per_s"], r["sequential_rps"],
-             r["sequential_forward_rps"],
-             f"{r['speedup_vs_sequential']:.2f}x",
-             r["latency_p50_ms"], r["latency_p99_ms"], r["mean_batch_size"]]
-            for r in records
-        ],
-        title=title,
-    )
 
 
 def write_sweep_records(records: Sequence[dict], path: str) -> str:
@@ -506,113 +470,3 @@ def settle_rollout(cluster, model: str, timeout_s: float = 15.0) -> dict:
         time.sleep(0.05)
         status = cluster.rollout_status(model)[0]
     return status
-
-
-def sequential_baseline(
-    engine: PhoneBitEngine, network, images: np.ndarray
-) -> tuple:
-    """Per-request ``engine.run`` over ``images``: (outputs, wall_s).
-
-    This is the pre-serving client path exactly as shipped — including the
-    per-request simulated cost estimate ``engine.run`` always computes.
-    """
-    outputs = []
-    t0 = time.perf_counter()
-    for i in range(images.shape[0]):
-        outputs.append(engine.run(network, images[i:i + 1]).output.data[0])
-    wall_s = time.perf_counter() - t0
-    return np.stack(outputs), wall_s
-
-
-def sequential_forward_baseline(
-    engine: PhoneBitEngine, network, images: np.ndarray
-) -> float:
-    """Wall seconds for per-request execution *without* the cost estimate.
-
-    Reported alongside the ``engine.run`` baseline so the benchmark records
-    separate how much of the serving speedup comes from micro-batching the
-    kernels versus from not re-running the cost model per request.
-    """
-    t0 = time.perf_counter()
-    for i in range(images.shape[0]):
-        engine.run_batch(network, images[i:i + 1], collect_estimate=False)
-    return time.perf_counter() - t0
-
-
-def throughput_sweep(
-    model: str = "MicroCNN",
-    offered_batches: Sequence[int] = (1, 4, 16, 64),
-    requests_per_level: int = 64,
-    max_wait_ms: float = 2.0,
-    seed: int = 0,
-    engine: Optional[PhoneBitEngine] = None,
-    pool: Optional[ModelPool] = None,
-    chunk_bytes: Optional[int] = None,
-) -> List[dict]:
-    """Closed-loop serving throughput vs the sequential baseline.
-
-    For each offered batch level ``b`` a fresh service is configured with
-    ``max_batch_size=b`` and fed ``requests_per_level`` requests
-    back-to-back; the same images then run through per-request
-    ``engine.run`` calls for the baseline.  Outputs are checked
-    bit-identical before anything is recorded.
-    """
-    engine = engine or PhoneBitEngine()
-    pool = pool or ModelPool()
-    network = pool.get(model)
-    images = synthetic_images(network.input_shape, requests_per_level, seed=seed)
-
-    # One warm pass (weight packing, NumPy internals) outside all timings.
-    engine.run_batch(network, images[:2], collect_estimate=False)
-    baseline_out, baseline_s = sequential_baseline(engine, network, images)
-    baseline_rps = images.shape[0] / baseline_s if baseline_s > 0 else float("inf")
-    forward_s = sequential_forward_baseline(engine, network, images)
-    forward_rps = images.shape[0] / forward_s if forward_s > 0 else float("inf")
-
-    records: List[dict] = []
-    for offered in offered_batches:
-        service = InferenceService(
-            pool=pool,
-            engine=engine,
-            max_batch_size=int(offered),
-            max_wait_ms=max_wait_ms,
-            cache_capacity=0,  # throughput measurements must not hit the cache
-            chunk_bytes=chunk_bytes,
-        )
-        try:
-            result = run_closed_loop(service, model, images)
-        finally:
-            service.close()
-        if not np.array_equal(result.rows(), baseline_out):
-            raise AssertionError(
-                f"serving outputs diverged from unbatched execution at "
-                f"offered batch {offered}"
-            )
-        report = result.report
-        records.append(
-            {
-                "op": "serving_throughput",
-                "model": model,
-                "offered_batch": int(offered),
-                # Canonical trajectory aliases (tools/check_bench_schema.py):
-                # every BENCH record carries {op|model, shape|batch,
-                # ns_per_op|req_per_s} under exactly those key spellings.
-                "batch": int(offered),
-                "req_per_s": result.achieved_rps,
-                "requests": int(images.shape[0]),
-                "sequential_rps": baseline_rps,
-                "sequential_forward_rps": forward_rps,
-                "speedup_vs_sequential": (
-                    result.achieved_rps / baseline_rps if baseline_rps else float("inf")
-                ),
-                "speedup_vs_forward_only": (
-                    result.achieved_rps / forward_rps if forward_rps else float("inf")
-                ),
-                "latency_p50_ms": report.latency.p50_ms,
-                "latency_p99_ms": report.latency.p99_ms,
-                "mean_batch_size": report.scheduler.mean_batch_size,
-                "batches": report.scheduler.batch_count,
-                "bit_identical": True,
-            }
-        )
-    return records

@@ -18,20 +18,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.serving import (
-    Autoscaler,
     AutoscaleConfig,
-    AutoscaleSignals,
     ClusterOverloadError,
     ClusterService,
-    FakeClock,
-    LeastOutstandingRouter,
     QuarantinePolicy,
     pin_counts_from_shares,
     drive,
-    phased_poisson_offsets,
-    rendezvous_score,
 )
-from repro.serving.loadgen import run_closed_loop, synthetic_images
+from repro.serving.autoscale import Autoscaler, AutoscaleSignals, FakeClock
+from repro.serving.loadgen import (
+    phased_poisson_offsets,
+    run_closed_loop,
+    synthetic_images,
+)
+from repro.serving.router import LeastOutstandingRouter, rendezvous_score
 
 WAIT_S = 60.0
 
@@ -484,14 +484,20 @@ class TestClusterScaleEvents:
                                  cooldown_s=0.2, interval_s=0.05)
         with make_cluster(workers=1, max_outstanding=1,
                           autoscale=config) as cluster:
-            images = synthetic_images((8, 8, 3), 4, seed=7)
-            futures = []
+            # Wedge the one worker so its single admission slot stays
+            # taken: every non-blocking submit after the first sheds, on
+            # any host speed.
+            (worker,) = cluster._workers.values()
+            worker.endpoint.send(("stall", 2.0))
+            time.sleep(0.1)  # let the stall take hold
+            image = synthetic_images((8, 8, 3), 1, seed=7)[0]
+            futures = [cluster.submit("MicroCNN", image, block=False)]
             deadline = time.time() + WAIT_S
             while (time.time() < deadline
                    and len(cluster.router.workers()) < 2):
                 try:
                     futures.append(
-                        cluster.submit("MicroCNN", images[0], block=False))
+                        cluster.submit("MicroCNN", image, block=False))
                 except ClusterOverloadError:
                     pass
                 time.sleep(0.002)

@@ -766,9 +766,7 @@ class TestCliSurface:
         from repro.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(
-            ["serve-bench", "--backend", "numpy", "--batches", "1"]
-        )
+        args = parser.parse_args(["loadgen", "--backend", "numpy"])
         assert args.backend == "numpy"
         worker = parser.parse_args(
             ["cluster-worker", "--connect", "tcp://127.0.0.1:1",
@@ -776,4 +774,4 @@ class TestCliSurface:
         )
         assert worker.backend == "cffi"
         with pytest.raises(SystemExit):
-            parser.parse_args(["serve-bench", "--backend", "fortran"])
+            parser.parse_args(["loadgen", "--backend", "fortran"])

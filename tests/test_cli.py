@@ -1,6 +1,9 @@
-"""Tests for the command-line interface."""
+"""Tests for the command-line interface and the bench scripts' entry points."""
 
+import importlib.util
 import io
+import json
+from pathlib import Path
 
 import pytest
 
@@ -46,25 +49,33 @@ class TestCli:
             cli.main([])
 
 
-class TestServingCli:
-    def test_serve_bench(self, capsys):
-        assert cli.main([
-            "serve-bench", "--model", "MicroCNN", "--batches", "1,4",
-            "--requests", "8",
+def load_bench(name):
+    """Import ``benchmarks/<name>.py`` as a module (the scripts are not a
+    package)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchScripts:
+    def test_serving_throughput_table(self, capsys):
+        bench = load_bench("bench_serving_throughput")
+        assert bench.main([
+            "--model", "MicroCNN", "--batches", "1,4", "--requests", "8",
         ]) == 0
         out = capsys.readouterr().out
         assert "Serving throughput" in out
         assert "bit-identical" in out
         assert "speedup" in out
 
-    def test_serve_bench_json(self, tmp_path, capsys):
+    def test_serving_throughput_json(self, tmp_path, capsys):
         path = tmp_path / "serve.json"
-        assert cli.main([
-            "serve-bench", "--batches", "4", "--requests", "8",
-            "--json", str(path),
+        bench = load_bench("bench_serving_throughput")
+        assert bench.main([
+            "--batches", "4", "--requests", "8", "--json", str(path),
         ]) == 0
-        import json
-
         records = json.loads(path.read_text())["records"]
         assert len(records) == 1
         record = records[0]
@@ -72,6 +83,28 @@ class TestServingCli:
         assert record["bit_identical"] is True
         assert record["req_per_s"] > 0
         assert f"wrote {path}" in capsys.readouterr().out
+
+    def test_cluster_scaling_json(self, tmp_path, capsys):
+        path = tmp_path / "scaling.json"
+        bench = load_bench("bench_cluster_scaling")
+        assert bench.main([
+            "--workers", "1", "--batch", "8", "--requests", "16",
+            "--json", str(path),
+        ]) == 0
+        (record,) = json.loads(path.read_text())["records"]
+        assert record["op"] == "cluster_scaling"
+        assert record["workers"] == 1
+        assert record["requests"] == 16
+        assert record["bit_identical"] is True
+        assert "Cluster scaling" in capsys.readouterr().out
+
+
+class TestServingCli:
+    def test_serve_bench_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["serve-bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'serve-bench'" in capsys.readouterr().err
 
     def test_loadgen(self, capsys):
         assert cli.main([

@@ -15,14 +15,10 @@ from repro.core.model_format import (
     serialize_network,
 )
 from repro.models.zoo import build_phonebit_network, micro_cnn_config
-from repro.serving import (
-    ClusterOverloadError,
-    ClusterService,
-    LeastOutstandingRouter,
-    SharedModelStore,
-    attach_model,
-)
+from repro.serving import ClusterOverloadError, ClusterService, SharedModelStore
 from repro.serving.loadgen import run_closed_loop, synthetic_images
+from repro.serving.router import LeastOutstandingRouter
+from repro.serving.shm_store import attach_model
 
 #: Generous wall-clock bound for any single future in these tests.
 WAIT_S = 60.0
@@ -275,6 +271,18 @@ class TestClusterService:
                 if "MicroCNN" in wr
             )
             assert per_worker == 40  # every request landed on some worker
+
+    def test_late_report_reply_is_dropped(self):
+        with make_cluster(workers=1) as cluster:
+            (worker,) = cluster._workers.values()
+            worker.endpoint.send(("stall", 1.0))
+            time.sleep(0.1)  # let the stall take hold
+            assert cluster.worker_reports(timeout=0.2) == {}
+            # The channel is FIFO: once the next poll is answered, the
+            # stalled worker's late reply to the first one has arrived.
+            assert set(cluster.worker_reports(timeout=WAIT_S)) == {"w0"}
+            with cluster._lock:
+                assert cluster._report_inbox == {}
 
     def test_worker_crash_respawns_and_requeues(self):
         with make_cluster(heartbeat_timeout_s=2.0) as cluster:

@@ -19,17 +19,16 @@ from repro.serving import (
     ClusterService,
     DeadlineExceededError,
     FaultPlan,
-    FaultRule,
-    LeastOutstandingRouter,
     QuarantinePolicy,
     RetryPolicy,
     WorkerCrashError,
     drive,
     matches_baseline,
-    parse_chaos_spec,
     poisson_offsets,
 )
+from repro.serving.faults import FaultRule, parse_chaos_spec
 from repro.serving.loadgen import run_closed_loop, synthetic_images
+from repro.serving.router import LeastOutstandingRouter
 
 WAIT_S = 60.0
 

@@ -11,19 +11,21 @@ import pytest
 from repro.core.engine import PhoneBitEngine, split_batch_output
 from repro.core.tensor import Layout, Tensor
 from repro.serving import (
-    BatchingScheduler,
     InferenceService,
-    LatencySummary,
-    LatencyTracker,
-    LRUResponseCache,
     ModelPool,
-    input_digest,
     poisson_offsets,
     drive,
-    run_closed_loop,
     synthetic_images,
 )
-from repro.serving.scheduler import TRIGGERS, BatchRecord, SchedulerStats
+from repro.serving.cache import LRUResponseCache, input_digest
+from repro.serving.loadgen import run_closed_loop
+from repro.serving.metrics import LatencySummary, LatencyTracker
+from repro.serving.scheduler import (
+    TRIGGERS,
+    BatchingScheduler,
+    BatchRecord,
+    SchedulerStats,
+)
 
 #: Generous wall-clock bound for any single future in these tests.
 WAIT_S = 30.0
@@ -852,3 +854,27 @@ class TestLoadgen:
             assert np.array_equal(row, expected[index % 2])
         # A multi-model run has no single report to attach.
         assert result.report is None
+
+
+#: The package's public surface.  A name belongs here only if cli.py,
+#: examples/, a bench script, tools/, the README or docs/ imports it from
+#: the package, or a public ``ClusterService``/``InferenceService``
+#: signature takes, returns or raises it; everything else is imported from
+#: its defining module.
+PUBLIC_SURFACE = [
+    "AutoscaleConfig", "CacheStats", "ClusterOverloadError", "ClusterReport",
+    "ClusterService", "DEFAULT_SLO_POLICIES", "DeadlineExceededError",
+    "FaultEvent", "FaultPlan", "InferenceService", "LoadResult", "ModelPool",
+    "QuarantinePolicy", "RetryPolicy", "RolloutConfig", "SLOPolicy",
+    "SLO_CLASSES", "ScaleEvent", "ServiceReport", "SharedModelStore",
+    "WorkerCrashError", "default_slo_reserves", "drive", "matches_baseline",
+    "pin_counts_from_shares", "poisson_offsets", "rollout_hook",
+    "settle_rollout", "synthetic_images", "write_sweep_records",
+]
+
+
+def test_package_surface_is_pinned():
+    import repro.serving as serving
+
+    assert sorted(serving.__all__) == PUBLIC_SURFACE
+    assert all(hasattr(serving, name) for name in PUBLIC_SURFACE)
