@@ -72,7 +72,7 @@ def spike_records(args) -> list:
     )
     cluster = ClusterService(
         models=(args.model,), workers=1, max_batch_size=args.batch,
-        max_wait_ms=args.max_wait_ms, max_outstanding=args.max_outstanding,
+        max_outstanding=args.max_outstanding,
         heartbeat_interval_s=0.1, autoscale=config,
     )
     records = []
@@ -166,7 +166,7 @@ def hetero_records(args) -> list:
         t0 = time.perf_counter()
         cluster = ClusterService(
             models=(big, small), workers=workers,
-            max_batch_size=args.batch, max_wait_ms=args.max_wait_ms,
+            max_batch_size=args.batch,
             pin_models=pin_models,
         )
         startup_s = time.perf_counter() - t0
@@ -214,7 +214,6 @@ def main(argv=None) -> int:
                         help="serving-zoo model for the spike mode")
     parser.add_argument("--batch", type=int, default=16,
                         help="per-worker micro-batch bound")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--max-outstanding", type=int, default=4,
                         help="per-worker admission window; tight on purpose "
                              "so Poisson bursts shed on a one-worker fleet")

@@ -50,8 +50,8 @@ import argparse
 import sys
 
 
-def scaling_sweep(model, worker_counts, offered_batch, requests, max_wait_ms,
-                  seed, mp_context, transport) -> list:
+def scaling_sweep(model, worker_counts, offered_batch, requests, seed,
+                  mp_context, transport) -> list:
     """Closed-loop cluster throughput vs the single-process service.
 
     Publishes ``model`` once into shared memory, measures a single-process
@@ -97,7 +97,7 @@ def scaling_sweep(model, worker_counts, offered_batch, requests, max_wait_ms,
         pool.register(attached.network, name=key, warm=True)
         baseline = InferenceService(
             pool=pool, engine=warm_engine, max_batch_size=offered_batch,
-            max_wait_ms=max_wait_ms, cache_capacity=0,
+            cache_capacity=0,
         )
         try:
             result = run_closed_loop(baseline, key, images)
@@ -110,7 +110,7 @@ def scaling_sweep(model, worker_counts, offered_batch, requests, max_wait_ms,
         for workers in worker_counts:
             cluster = ClusterService(
                 store=store, workers=int(workers),
-                max_batch_size=offered_batch, max_wait_ms=max_wait_ms,
+                max_batch_size=offered_batch,
                 cache_capacity=0, worker_threads=1, mp_context=mp_context,
                 transport=transport,
             )
@@ -172,7 +172,7 @@ def scaling_table(records, title) -> str:
 
 
 def open_loop_sweep(model, workers, offered_batch, requests, overload_x,
-                    max_wait_ms, seed, mp_context, transport) -> list:
+                    seed, mp_context, transport) -> list:
     """Open-loop overload trajectory: shed / retry-after vs offered load.
 
     A fresh cluster is first driven closed-loop to calibrate its capacity,
@@ -211,7 +211,7 @@ def open_loop_sweep(model, workers, offered_batch, requests, overload_x,
         def make_cluster():
             return ClusterService(
                 store=store, workers=workers, max_batch_size=offered_batch,
-                max_wait_ms=max_wait_ms, cache_capacity=0, worker_threads=1,
+                cache_capacity=0, worker_threads=1,
                 mp_context=mp_context, transport=transport,
                 max_outstanding=window,
             )
@@ -288,7 +288,6 @@ def main(argv=None) -> int:
                         help="offered batch level (per-worker micro-batch bound)")
     parser.add_argument("--requests", type=int, default=256,
                         help="requests per sweep point")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--mp-context", default=None,
                         help="multiprocessing start method for the pipe "
@@ -342,7 +341,6 @@ def main(argv=None) -> int:
                 offered_batch=args.batch,
                 requests=requests,
                 overload_x=overload_x,
-                max_wait_ms=args.max_wait_ms,
                 seed=args.seed,
                 mp_context=args.mp_context,
                 transport=transport,
@@ -360,7 +358,6 @@ def main(argv=None) -> int:
                 worker_counts=worker_counts,
                 offered_batch=args.batch,
                 requests=requests,
-                max_wait_ms=args.max_wait_ms,
                 seed=args.seed,
                 mp_context=args.mp_context,
                 transport=transport,

@@ -60,8 +60,7 @@ def sequential_forward_baseline(engine, network, images) -> float:
     return time.perf_counter() - t0
 
 
-def throughput_sweep(model, offered_batches, requests_per_level, max_wait_ms,
-                     seed) -> list:
+def throughput_sweep(model, offered_batches, requests_per_level, seed) -> list:
     """Closed-loop serving throughput vs the sequential baseline.
 
     For each offered batch level ``b`` a fresh service is configured with
@@ -95,7 +94,6 @@ def throughput_sweep(model, offered_batches, requests_per_level, max_wait_ms,
             pool=pool,
             engine=engine,
             max_batch_size=int(offered),
-            max_wait_ms=max_wait_ms,
             cache_capacity=0,  # throughput measurements must not hit the cache
         )
         try:
@@ -163,7 +161,6 @@ def main(argv=None) -> int:
                         help="comma-separated offered batch levels")
     parser.add_argument("--requests", type=int, default=96,
                         help="requests per offered-load level")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write records to PATH ('-' for stdout)")
@@ -187,7 +184,6 @@ def main(argv=None) -> int:
         model=args.model,
         offered_batches=batches,
         requests_per_level=requests,
-        max_wait_ms=args.max_wait_ms,
         seed=args.seed,
     )
 

@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--requests", type=int, default=64,
                          help="total requests to offer")
     loadgen.add_argument("--max-batch-size", type=int, default=32)
-    loadgen.add_argument("--max-wait-ms", type=float, default=2.0)
     loadgen.add_argument("--cache-capacity", type=int, default=1024,
                          help="LRU response-cache entries (0 disables)")
     loadgen.add_argument("--unique-inputs", action="store_true",
@@ -400,7 +399,6 @@ def _cluster_kwargs(args) -> dict:
     """ClusterService keywords shared by every cluster-mode ``loadgen``."""
     return dict(
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         cache_capacity=args.cache_capacity,
         chunk_bytes=args.chunk_hint,
         worker_threads=args.threads,
@@ -593,7 +591,6 @@ def _command_loadgen(args) -> str:
             engine=PhoneBitEngine(num_threads=args.threads,
                                   backend=args.backend),
             max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             cache_capacity=args.cache_capacity,
             chunk_bytes=args.chunk_hint,
         )

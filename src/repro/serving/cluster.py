@@ -88,6 +88,11 @@ __all__ = [
 ]
 
 
+#: Batch wall time (ms) the shed hint assumes a worker takes per batch
+#: (:meth:`~repro.serving.router.LeastOutstandingRouter.retry_after_s`).
+_SHED_BATCH_WALL_MS = 2.0
+
+
 class ClusterOverloadError(RuntimeError):
     """Raised when every worker is at its admission bound (request shed).
 
@@ -139,18 +144,20 @@ class RetryPolicy:
     terminally with :class:`WorkerCrashError` (slots released, never
     leaked) — admitted work always resolves, one way or the other.
 
-    A **retry** moves the request: the unresponsive assignee is demoted
-    (its slot stays held and is released by the existing generation-scoped
-    accounting when its late answer arrives, or credited when it dies —
-    never leaked), a failure is recorded against it for quarantine
-    purposes, and the request is force-dispatched to a different worker.
+    Every slot a request holds is one entry in its ledger of holders.  A
+    **retry** adds a holder: the unresponsive assignee keeps its slot and
+    takes a failure for quarantine purposes, and the request is
+    force-dispatched to a worker holding no copy.
 
-    A **hedge** (``hedge=True``) duplicates the request instead of
-    waiting for the full attempt timeout: after ``hedge_factor × p99``
-    a second copy is dispatched to another eligible worker *without*
-    force (a saturated fleet sheds hedges first) and the first response
-    wins — bit-identical outputs make the winner indistinguishable — with
-    the loser's slot released by the same late-answer accounting.
+    A **hedge** (``hedge=True``) adds a holder too, instead of waiting
+    for the full attempt timeout: after ``hedge_factor × p99`` a second
+    copy is dispatched to another eligible worker *without* force (a
+    saturated fleet sheds hedges first) and the first response wins —
+    bit-identical outputs make the winner indistinguishable.
+
+    The request stays in the ledger after it resolves: each remaining
+    holder's slot is released by its late answer, credited when it dies,
+    or reaped after a grace period — never leaked.
     """
 
     #: Total dispatch attempts per request, including the first.
@@ -242,7 +249,6 @@ class WorkerConfig:
     """Per-worker service configuration (sent as ``asdict`` in ``welcome``)."""
 
     max_batch_size: int = 32
-    max_wait_ms: float = 2.0
     cache_capacity: int = 0
     chunk_bytes: Optional[int] = None
     threads: Optional[int] = 1
@@ -261,34 +267,40 @@ class WorkerConfig:
 
 @dataclass
 class _Pending:
-    """Front-end record of one dispatched request."""
+    """Front-end ledger entry of one admitted request.
+
+    The entry outlives its future: once answered it carries ``reap_at``
+    and leaves ``_pending`` when its last holder answers, dies or is
+    reaped.  An unanswered entry with no holder is parked for a worker.
+    """
 
     future: Future
     model: str
     image: np.ndarray
-    worker: str
     submitted_at: float
-    requeues: int = 0
-    #: Router registration generation of ``worker`` when the slot was
-    #: acquired — scopes the eventual ``release`` to that incarnation.
-    generation: int = 0
+    #: The only record of the routing slots the request holds:
+    #: ``{worker_id: generation}`` for its first dispatch, retries and
+    #: hedges, with the current attempt's assignee last.  The generation
+    #: scopes each ``release`` to the incarnation that acquired the slot;
+    #: the first answer from *any* holder wins the future.
+    holders: Dict[str, int] = field(default_factory=dict)
+    #: When the answer won (``perf_counter``) plus the stale grace: past
+    #: it the remaining holders' slots are reaped.  ``None`` = unanswered.
+    reap_at: Optional[float] = None
     #: Caller's end-to-end deadline (``perf_counter`` clock); ``None`` =
     #: no deadline.  Expired entries are dropped, never dispatched.
     deadline: Optional[float] = None
-    #: When the *current* primary dispatch went out (retry/hedge timers).
+    #: When the current attempt went out (retry/hedge timers).
     dispatched_at: float = 0.0
-    #: Dispatch attempts so far (the first dispatch counts).
+    #: Dispatch attempts so far (the first dispatch counts) and the budget
+    #: the retry policy and the request's SLO class allow it.
     attempts: int = 1
-    #: A hedge duplicate is already in flight.
-    hedged: bool = False
+    max_attempts: int = 1
+    #: The request may still send its one hedge copy.
+    hedge: bool = False
     #: SLO class the request was admitted under (``None`` = unclassed,
     #: treated as ``standard`` by the router's tiered admission).
     slo: Optional[str] = None
-    #: Extra live slot holders beyond ``worker`` — demoted slow assignees
-    #: and hedge duplicates, as ``{worker_id: generation}``.  Their slots
-    #: are released when their (late) answers arrive or credited when
-    #: they die; first answer from *any* holder wins the future.
-    holders: Dict[str, int] = field(default_factory=dict)
     #: Artifact version the dispatch is tagged with — the model's serving
     #: digest at dispatch time (or the rollout's new digest for a canary
     #: probe).  A worker executes exactly this version, never "whatever is
@@ -458,6 +470,11 @@ class ClusterReport:
         return "\n\n".join(parts)
 
 
+def _reqs_frame(rid: int, entry: _Pending) -> tuple:
+    """The ``reqs`` frame that dispatches one copy of ``entry``."""
+    return ("reqs", [(rid, entry.model, entry.image, entry.digest)])
+
+
 def _send(endpoint, frame) -> bool:
     """Send ``frame`` on ``endpoint``; ``False`` if the link is dead.
 
@@ -527,12 +544,11 @@ class ClusterService:
     store:
         An externally owned :class:`SharedModelStore`; by default the
         cluster builds the models, publishes them and owns the store.
-    max_batch_size / max_wait_ms / cache_capacity / chunk_bytes:
-        Per-worker :class:`InferenceService` configuration.  The
-        work-conserving scheduler ignores ``max_wait_ms``; the router still
-        uses it as its batch-wall guess for shed back-off.  Worker response
-        caches default to **off** — a cluster-wide cache lives on the
-        roadmap, and per-worker caches would make hit rates routing-shaped.
+    max_batch_size / cache_capacity / chunk_bytes:
+        Per-worker :class:`InferenceService` configuration.  Worker
+        response caches default to **off** — a cluster-wide cache lives on
+        the roadmap, and per-worker caches would make hit rates
+        routing-shaped.
     worker_threads:
         Fused-executor threads per worker (default 1: the cluster already
         provides the process-level parallelism).
@@ -631,7 +647,6 @@ class ClusterService:
         workers: int = 2,
         store: Optional[SharedModelStore] = None,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         cache_capacity: int = 0,
         chunk_bytes: Optional[int] = None,
         worker_threads: Optional[int] = 1,
@@ -701,7 +716,6 @@ class ClusterService:
                                 if cache_capacity else None)
         self.config = WorkerConfig(
             max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
             cache_capacity=0,
             chunk_bytes=chunk_bytes,
             threads=worker_threads,
@@ -710,9 +724,10 @@ class ClusterService:
         )
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.retry_policy = retry
-        #: How long a parked slot waits for its holder's late answer
-        #: before the monitor reaps it (the answer frame may be lost for
-        #: good under fault injection or a half-dead link).
+        #: How long an answered request's other holders may take to send
+        #: their late answers before the monitor reaps their slots (an
+        #: answer frame may be lost for good under fault injection or a
+        #: half-dead link).
         self._stale_grace_s = max(5.0, heartbeat_timeout_s)
         self.router = LeastOutstandingRouter(
             max_outstanding=max_outstanding or 2 * max_batch_size,
@@ -744,14 +759,9 @@ class ClusterService:
         self._report_inbox: Dict[int, Dict[str, Dict[str, ServiceReport]]] = {}
         self._report_gen = 0
         self._workers: Dict[str, _Worker] = {}
+        #: The request ledger: every admitted request, from admission
+        #: until its future resolved *and* its last holder let go.
         self._pending: Dict[int, _Pending] = {}
-        self._orphans: List[int] = []  #: admitted req ids awaiting a worker
-        #: ``{rid: {worker_id: generation}}`` — slots still held for an
-        #: already-answered (or expired) request: demoted slow assignees,
-        #: losing hedges, and replacements a stale assignee outran.  Each
-        #: worker's late answer releases exactly its own slot, scoped to
-        #: the incarnation that acquired it.
-        self._stale_holders: Dict[int, Dict[str, int]] = {}
         self._traffic: Dict[str, _ModelTraffic] = {}
         self._init_errors: List[str] = []
         self._next_rid = 0
@@ -979,7 +989,8 @@ class ClusterService:
         if drain:
             while time.perf_counter() < deadline:
                 with self._lock:
-                    if not self._pending and not self._orphans:
+                    if all(entry.reap_at is not None
+                           for entry in self._pending.values()):
                         break
                 time.sleep(0.005)
         for worker in workers:
@@ -1017,8 +1028,6 @@ class ClusterService:
         with self._lock:
             pending = list(self._pending.values())
             self._pending.clear()
-            self._orphans.clear()
-            self._stale_holders.clear()
             self._slot_free.notify_all()
         for entry in pending:
             if not entry.future.done():
@@ -1107,14 +1116,10 @@ class ClusterService:
                 # record_shed=False: a blocked submitter polling for a slot
                 # is waiting, not shedding — only the client-visible raise
                 # below counts as a shed.
-                worker_id = self.router.acquire(key, record_shed=False,
-                                                slo=slo)
-                if worker_id is not None and worker_id in self._workers:
+                worker = self._slot_worker(
+                    self.router.acquire(key, record_shed=False, slo=slo))
+                if worker is not None:
                     break
-                if worker_id is not None:
-                    # Router raced a worker death; slot is already counted —
-                    # undo and retry.
-                    self.router.release(worker_id)
                 if not block:
                     # count_shed=False marks an internal saturation *probe*
                     # (submit_batch flushing before it waits), which is not
@@ -1123,7 +1128,7 @@ class ClusterService:
                         traffic.shed += 1
                         self.router.record_shed(slo)
                     raise ClusterOverloadError(
-                        self.router.retry_after_s(self.config.max_wait_ms,
+                        self.router.retry_after_s(_SHED_BATCH_WALL_MS,
                                                   model=key, slo=slo)
                     )
                 remaining = None if deadline is None else deadline - time.perf_counter()
@@ -1147,13 +1152,76 @@ class ClusterService:
             self._next_rid += 1
             future: Future = Future()
             future.set_running_or_notify_cancel()
+            max_attempts, hedge = self._retry_budget(slo)
             self._pending[rid] = _Pending(
-                future=future, model=key, image=image, worker=worker_id,
-                submitted_at=now, deadline=deadline, dispatched_at=now,
-                generation=self._workers[worker_id].generation, slo=slo,
+                future=future, model=key, image=image, submitted_at=now,
+                holders={worker.worker_id: worker.generation},
+                deadline=deadline, dispatched_at=now,
+                max_attempts=max_attempts, hedge=hedge, slo=slo,
                 digest=self._handles[key].digest, cache_key=cache_key,
             )
-            return rid, worker_id, future
+            return rid, worker.worker_id, future
+
+    def _retry_budget(self, slo: Optional[str]) -> Tuple[int, bool]:
+        """``(max_attempts, hedge)`` for a request of class ``slo``: the
+        :class:`RetryPolicy`'s, overridden by the class's :class:`SLOPolicy`
+        row where it sets them."""
+        policy = self.retry_policy
+        if policy is None:
+            return 1, False
+        max_attempts, hedge = policy.max_attempts, policy.hedge
+        slo_policy = (self.slo_policies or {}).get(slo)
+        if slo_policy is not None:
+            if slo_policy.max_attempts is not None:
+                max_attempts = slo_policy.max_attempts
+            if slo_policy.hedge is not None:
+                hedge = slo_policy.hedge
+        return max_attempts, hedge
+
+    def _slot_worker(self, worker_id: Optional[str]) -> Optional[_Worker]:
+        """The live worker behind a slot just acquired (lock held).
+
+        ``None`` when the router shed; a slot on a worker whose death the
+        router raced is handed back, and ``None`` is returned too.
+        """
+        if worker_id is None:
+            return None
+        worker = self._workers.get(worker_id)
+        if worker is None:
+            self.router.release(worker_id)
+        return worker
+
+    def _release_holders(self, entry: _Pending) -> None:
+        """Return every slot ``entry`` holds (lock held)."""
+        for holder, generation in entry.holders.items():
+            self.router.release(holder, generation)
+        entry.holders.clear()
+        self._slot_free.notify_all()
+
+    def _parked(self) -> List[int]:
+        """Unanswered requests holding no slot, waiting for a worker
+        (lock held)."""
+        return [rid for rid, entry in self._pending.items()
+                if entry.reap_at is None and not entry.holders]
+
+    def _drop_holder(self, worker_id: str) -> List[int]:
+        """Strike a dead or retired worker from every entry (lock held).
+
+        The router already credited its slots (``remove_worker``) and its
+        answers can never come.  An answered entry left with no holder
+        leaves the ledger; returns every parked rid, which the caller
+        moves through :meth:`_redispatch`.
+        """
+        parked = []
+        for rid, entry in list(self._pending.items()):
+            entry.holders.pop(worker_id, None)
+            if entry.holders:
+                continue
+            if entry.reap_at is None:
+                parked.append(rid)
+            else:
+                del self._pending[rid]
+        return parked
 
     def _dispatch(self, key: str, assignments: Sequence[tuple]) -> None:
         """Send admitted ``(rid, worker_id, image)`` entries, one queue
@@ -1179,8 +1247,7 @@ class ClusterService:
                 if entry.deadline is not None and now >= entry.deadline:
                     del self._pending[rid]
                     self._deadline_expired += 1
-                    self.router.release(worker_id, entry.generation)
-                    self._slot_free.notify_all()
+                    self._release_holders(entry)
                     expired.append(entry.future)
                 else:
                     live.append((rid, worker_id, image, entry.digest))
@@ -1201,9 +1268,10 @@ class ClusterService:
                 for rid, _, _, _ in items:
                     with self._lock:
                         entry = self._pending.get(rid)
-                        generation = (entry.generation if entry is not None
-                                      else None)
-                    self.router.release(worker_id, generation)
+                        generation = (None if entry is None
+                                      else entry.holders.pop(worker_id, None))
+                        if generation is not None:
+                            self.router.release(worker_id, generation)
                     self._redispatch(rid)
 
     def submit(self, model: str, image: np.ndarray, block: bool = True,
@@ -1409,7 +1477,6 @@ class ClusterService:
 
     def _handle_ready(self, message: tuple) -> None:
         _, worker_id, pid, attach_ms = message
-        orphans: List[int] = []
         prepare_sends: List[Tuple[WorkerEndpoint, tuple]] = []
         with self._lock:
             worker = self._workers.get(worker_id)
@@ -1443,7 +1510,7 @@ class ClusterService:
                 prepare_sends.append((worker.endpoint, ("prepare", [
                     (new.model, new.digest, new.nbytes, new.shm_name)
                 ])))
-            orphans, self._orphans = self._orphans, []
+            parked = self._parked()
             self._slot_free.notify_all()
         for endpoint, frame in prepare_sends:
             # dying link: its death handler discounts the worker
@@ -1451,54 +1518,39 @@ class ClusterService:
         # Converge attachments before redispatching parked work, so a
         # force-acquire can land on a worker that just gained the model.
         self._refresh_pinning()
-        for rid in orphans:
+        for rid in parked:
             self._redispatch(rid)
 
     def _handle_response(self, message: tuple) -> None:
         kind, worker_id, rid, payload = message
         now = time.perf_counter()
         with self._lock:
-            entry = self._pending.pop(rid, None)
+            entry = self._pending.get(rid)
             if entry is None:
-                # Late (duplicate) answer: the request was already won by
-                # another holder, requeued past this sender, or expired.
-                # Release exactly the *sender's* still-held slot, scoped
-                # to the incarnation that acquired it (a same-id
-                # re-registration must not lose a slot it never granted).
-                holders = self._stale_holders.get(rid)
-                if holders is not None:
-                    held = holders.pop(worker_id, None)
-                    if not holders:
-                        del self._stale_holders[rid]
-                    if held is not None:
-                        self.router.release(worker_id, held[0])
-                        self._slot_free.notify_all()
+                # Expired or failed: every slot was released with it.
                 return
+            # Release exactly the sender's slot, scoped to the incarnation
+            # that acquired it.  A sender absent from the holders was given
+            # up on (declared dead: its slots were credited at removal).
+            generation = entry.holders.pop(worker_id, None)
+            if generation is not None:
+                self.router.release(worker_id, generation)
+                self._slot_free.notify_all()
+            if not entry.holders:
+                del self._pending[rid]
+            if entry.reap_at is not None:
+                return  # a late answer: another holder already won
             # First answer wins — with retry/hedging several workers may
-            # hold a live slot for this rid (outputs are bit-identical, so
-            # *which* copy wins is unobservable).  Release the sender's
-            # slot now; the remaining holders' slots are parked until
-            # their own late answers arrive (or their deaths credit them,
-            # or the stale grace reaps them).
-            holders = dict(entry.holders)
-            holders[entry.worker] = entry.generation
-            sender_generation = holders.pop(worker_id, None)
-            if sender_generation is not None:
-                self.router.release(worker_id, sender_generation)
+            # hold a slot for this rid (outputs are bit-identical, so
+            # *which* copy wins is unobservable).  The other holders keep
+            # the entry until they answer, die or are reaped.
+            entry.reap_at = now + self._stale_grace_s
+            if generation is not None:
                 if kind == "res":
                     self.router.record_completion(
                         worker_id, max(0.0, now - entry.dispatched_at))
                 else:
                     self.router.record_failure(worker_id)
-            # A sender absent from the holder set was already given up on
-            # (declared dead; its slots were credited at removal) — there
-            # is nothing to release for it, only the live holders to park.
-            if holders:
-                reap_at = now + self._stale_grace_s
-                self._stale_holders[rid] = {
-                    holder: (generation, reap_at)
-                    for holder, generation in holders.items()
-                }
             if not entry.probe:
                 # Canary probes are internal mirrors: they must not skew
                 # the client-facing latency distribution (the retry
@@ -1506,7 +1558,6 @@ class ClusterService:
                 traffic = self._traffic_for(entry.model)
                 traffic.last_done = now
                 traffic.latencies.record(max(0.0, now - entry.submitted_at))
-            self._slot_free.notify_all()
         if kind == "res":
             result = payload
             if isinstance(result, np.ndarray) and result.flags.writeable:
@@ -1545,13 +1596,13 @@ class ClusterService:
     def _monitor_pending(self) -> None:
         """Deadline/retry/hedge control loop (20 ms cadence).
 
-        Three sweeps over the pending table: fail dispatched requests
-        whose end-to-end deadline passed (releasing every slot they
-        hold), re-dispatch requests whose current attempt has outlived
-        the retry policy's patience, and hedge requests past the p99-based
-        hedge delay.  Parked late-answer slots whose grace expired are
-        reaped here too — a lost response frame must not leak admission
-        capacity forever.
+        One sweep over the ledger: fail requests whose end-to-end
+        deadline passed or whose final attempt outlived its patience
+        (releasing every slot they hold), re-dispatch requests whose
+        current attempt has outlived the retry policy's patience, and
+        hedge requests past the p99-based hedge delay.  Answered requests
+        whose grace expired have their remaining slots reaped here too — a
+        lost response frame must not leak admission capacity forever.
         """
         while not self._supervise_stop.wait(0.02):
             self._sweep_pending()
@@ -1560,8 +1611,7 @@ class ClusterService:
     def _sweep_pending(self) -> None:
         policy = self.retry_policy
         now = time.perf_counter()
-        expired: List[_Pending] = []
-        exhausted: List[_Pending] = []
+        failed: List[Tuple[Future, BaseException]] = []
         sends: List[Tuple[WorkerEndpoint, tuple]] = []
         p99_cache: Dict[str, tuple] = {}
 
@@ -1578,143 +1628,111 @@ class ClusterService:
             if self._closed:
                 return
             for rid, entry in list(self._pending.items()):
-                if entry.deadline is not None and now >= entry.deadline:
-                    # Too late for anyone to want the answer: fail the
-                    # future and release every held slot immediately.  The
-                    # workers' late answers will find neither a pending
-                    # entry nor a parked slot — no double release.
-                    del self._pending[rid]
-                    self._deadline_expired += 1
-                    self.router.release(entry.worker, entry.generation)
-                    for holder, generation in entry.holders.items():
-                        self.router.release(holder, generation)
-                    self._slot_free.notify_all()
-                    expired.append(entry)
+                if entry.reap_at is not None:
+                    # Answered; past the grace the remaining holders'
+                    # answers are taken as lost for good.  One that arrives
+                    # after all finds no entry — no double release.
+                    if now >= entry.reap_at:
+                        self._release_holders(entry)
+                        del self._pending[rid]
                     continue
-                if policy is None or entry.probe:
+                if entry.deadline is not None and now >= entry.deadline:
+                    # Too late for anyone to want the answer.
+                    self._deadline_expired += 1
+                    failure = DeadlineExceededError(
+                        "deadline expired while dispatched; request dropped"
+                    )
+                elif policy is None or entry.probe or not entry.holders:
                     # Probes are never retried or hedged: a slow or lost
                     # probe is a canary sample that never happened, and
                     # duplicating it would double-count the comparison.
+                    # A parked request waits for a worker, not a timer.
                     continue
-                # Per-class overrides: an SLOPolicy row may cap the
-                # request's attempts or veto hedging for its class.
-                slo_policy = (self.slo_policies.get(entry.slo)
-                              if self.slo_policies is not None
-                              and entry.slo is not None else None)
-                max_attempts = (policy.max_attempts
-                                if slo_policy is None
-                                or slo_policy.max_attempts is None
-                                else slo_policy.max_attempts)
-                hedge_enabled = (policy.hedge
-                                 if slo_policy is None
-                                 or slo_policy.hedge is None
-                                 else slo_policy.hedge)
-                count, p99_s = model_p99(entry.model)
-                if count >= policy.min_samples and p99_s > 0.0:
-                    candidate = policy.timeout_factor * p99_s
                 else:
-                    # Cold start: no latency distribution to scale from
-                    # yet.  Fall back to the heartbeat timeout — the same
-                    # "worker is unresponsive" bound the supervisor uses —
-                    # so a request whose very first frame was lost still
-                    # retries instead of waiting for statistics.
-                    candidate = self.heartbeat_timeout_s
-                base = max(policy.min_timeout_s,
-                           min(policy.max_timeout_s, candidate))
-                waited = now - entry.dispatched_at
-                patience = (
-                    base * policy.backoff_factor ** (entry.attempts - 1)
-                )
-                if waited >= patience and entry.attempts >= max_attempts:
-                    # Retry budget exhausted and the final attempt has
-                    # outlived its patience too: fail terminally rather
-                    # than hang.  Slots are released exactly as on
-                    # deadline expiry; a straggler answer arriving later
-                    # finds neither a pending entry nor a parked slot.
-                    del self._pending[rid]
-                    self.router.record_failure(entry.worker)
-                    self.router.release(entry.worker, entry.generation)
-                    for holder, generation in entry.holders.items():
-                        self.router.release(holder, generation)
-                    self._slot_free.notify_all()
-                    exhausted.append(entry)
-                    continue
-                if waited >= patience:
-                    # Retry: the current assignee has outlived attempt
-                    # ``attempts``'s patience.  Demote it (slot parked on
-                    # the entry; released by its late answer / death /
-                    # grace), record the failure for quarantine purposes
-                    # and force-dispatch to a different worker.
-                    exclude = [entry.worker, *entry.holders]
-                    worker_id = self.router.acquire(
-                        entry.model, force=True, record_shed=False,
-                        exclude=exclude)
-                    if worker_id is None or worker_id not in self._workers:
-                        if worker_id is not None:
-                            self.router.release(worker_id)
-                        continue  # nowhere else to go; re-check next tick
-                    self.router.record_failure(entry.worker)
-                    entry.holders[entry.worker] = entry.generation
-                    worker = self._workers[worker_id]
-                    entry.worker = worker_id
-                    entry.generation = worker.generation
-                    entry.attempts += 1
-                    entry.dispatched_at = now
-                    self._retries += 1
-                    sends.append((worker.endpoint,
-                                  ("reqs", [(rid, entry.model, entry.image,
-                                             entry.digest)])))
-                elif (hedge_enabled and not entry.hedged
-                      and count >= policy.min_samples and p99_s > 0.0
-                      and waited >= max(policy.min_timeout_s,
-                                        min(policy.max_timeout_s,
-                                            policy.hedge_factor * p99_s))):
-                    # Hedge: dispatch a duplicate *within* the admission
-                    # bound (no force — a saturated fleet sheds hedges
-                    # first, and a hedge rides its request's own class
-                    # tier); first response wins, bit-identical outputs
-                    # make the winner unobservable.
-                    exclude = [entry.worker, *entry.holders]
-                    worker_id = self.router.acquire(
-                        entry.model, record_shed=False, exclude=exclude,
-                        slo=entry.slo)
-                    if worker_id is None or worker_id not in self._workers:
-                        if worker_id is not None:
-                            self.router.release(worker_id)
+                    failure = self._retry_or_hedge(
+                        rid, entry, now, policy, model_p99(entry.model),
+                        sends)
+                    if failure is None:
                         continue
-                    worker = self._workers[worker_id]
-                    entry.holders[worker_id] = worker.generation
-                    entry.hedged = True
-                    self._hedges += 1
-                    sends.append((worker.endpoint,
-                                  ("reqs", [(rid, entry.model, entry.image,
-                                             entry.digest)])))
-            # Reap parked late-answer slots whose grace expired: the
-            # response frame is considered lost for good.  If it arrives
-            # after all, the missing park entry makes it a no-op.
-            for rid in list(self._stale_holders):
-                holders = self._stale_holders[rid]
-                for holder, (generation, reap_at) in list(holders.items()):
-                    if now >= reap_at:
-                        del holders[holder]
-                        self.router.release(holder, generation)
-                        self._slot_free.notify_all()
-                if not holders:
-                    del self._stale_holders[rid]
-        for entry in expired:
-            if not entry.future.done():
-                entry.future.set_exception(DeadlineExceededError(
-                    "deadline expired while dispatched; request dropped"
-                ))
-        for entry in exhausted:
-            if not entry.future.done():
-                entry.future.set_exception(WorkerCrashError(
-                    f"no answer after {entry.attempts} attempt(s); "
-                    "retry budget exhausted"
-                ))
+                # Release every held slot now; a straggler's answer finds
+                # no entry.
+                self._release_holders(entry)
+                del self._pending[rid]
+                failed.append((entry.future, failure))
+        for future, failure in failed:
+            if not future.done():
+                future.set_exception(failure)
         for endpoint, message in sends:
             # dying link: its death handler requeues the rid
             _send(endpoint, message)
+
+    def _retry_or_hedge(self, rid: int, entry: _Pending, now: float,
+                        policy: RetryPolicy, p99: tuple,
+                        sends: List[Tuple[WorkerEndpoint, tuple]]
+                        ) -> Optional[BaseException]:
+        """Chase one slow request (lock held); queue its frame on ``sends``.
+
+        Returns the terminal failure once its final attempt outlived its
+        patience, else ``None``.
+        """
+        count, p99_s = p99
+        if count >= policy.min_samples and p99_s > 0.0:
+            candidate = policy.timeout_factor * p99_s
+        else:
+            # Cold start: no latency distribution to scale from yet.  Fall
+            # back to the heartbeat timeout — the same "worker is
+            # unresponsive" bound the supervisor uses — so a request whose
+            # very first frame was lost still retries instead of waiting
+            # for statistics.
+            candidate = self.heartbeat_timeout_s
+        base = max(policy.min_timeout_s, min(policy.max_timeout_s, candidate))
+        waited = now - entry.dispatched_at
+        patience = base * policy.backoff_factor ** (entry.attempts - 1)
+        if waited < patience:
+            hedge_delay = max(policy.min_timeout_s,
+                              min(policy.max_timeout_s,
+                                  policy.hedge_factor * p99_s))
+            if not (entry.hedge and waited >= hedge_delay
+                    and count >= policy.min_samples and p99_s > 0.0):
+                return None
+            # Hedge: a duplicate *within* the admission bound (no force — a
+            # saturated fleet sheds hedges first, and a hedge rides its
+            # request's own class tier).  It joins the holders ahead of the
+            # assignee, whose attempt the retry timer measures.
+            worker = self._slot_worker(self.router.acquire(
+                entry.model, record_shed=False, exclude=list(entry.holders),
+                slo=entry.slo))
+            if worker is not None:
+                entry.holders = {worker.worker_id: worker.generation,
+                                 **entry.holders}
+                entry.hedge = False
+                self._hedges += 1
+                sends.append((worker.endpoint, _reqs_frame(rid, entry)))
+            return None
+        assignee = next(reversed(entry.holders))
+        if entry.attempts >= entry.max_attempts:
+            # Retry budget exhausted and the final attempt has outlived its
+            # patience too: fail terminally rather than hang.
+            self.router.record_failure(assignee)
+            return WorkerCrashError(
+                f"no answer after {entry.attempts} attempt(s); "
+                "retry budget exhausted"
+            )
+        # Retry: the assignee outlived attempt ``attempts``'s patience.  It
+        # keeps its slot and takes a failure for quarantine purposes; a
+        # worker holding no copy becomes the assignee.
+        worker = self._slot_worker(self.router.acquire(
+            entry.model, force=True, record_shed=False,
+            exclude=list(entry.holders)))
+        if worker is None:
+            return None  # nowhere else to go; next tick
+        self.router.record_failure(assignee)
+        entry.holders[worker.worker_id] = worker.generation
+        entry.attempts += 1
+        entry.dispatched_at = now
+        self._retries += 1
+        sends.append((worker.endpoint, _reqs_frame(rid, entry)))
+        return None
 
     # ------------------------------------------------------------- supervision
     def _supervise(self) -> None:
@@ -1785,13 +1803,13 @@ class ClusterService:
                            and not self._closed)
                 if respawn:
                     self._respawns += 1
-                orphans, self._orphans = self._orphans, []
+                parked = self._parked()
                 self._slot_free.notify_all()
             if respawn:
                 self._spawn_worker()
-            # _redispatch re-parks orphans when another replacement is
+            # _redispatch re-parks requests when another replacement is
             # coming, otherwise fails their futures — never leaves them.
-            for rid in orphans:
+            for rid in parked:
                 self._redispatch(rid)
 
     def _handle_worker_death(self, worker: _Worker) -> None:
@@ -1812,36 +1830,12 @@ class ClusterService:
             self.router.remove_worker(worker.worker_id)
             for rollout in self._rollouts.values():
                 rollout.controller.worker_gone(worker.worker_id)
-            victims = []
-            for rid, entry in self._pending.items():
-                # A dead hedge/demoted holder's slot was credited by
-                # remove_worker; its late answer can never come.
-                entry.holders.pop(worker.worker_id, None)
-                if entry.worker != worker.worker_id:
-                    continue
-                if entry.holders:
-                    # The primary died but a duplicate of this request is
-                    # already in flight on a surviving holder — promote it
-                    # instead of requeueing (which would dispatch a third
-                    # copy).
-                    promoted = next(iter(entry.holders))
-                    entry.generation = entry.holders.pop(promoted)
-                    entry.worker = promoted
-                else:
-                    victims.append(rid)
-            # Parked late-answer slots of the dead worker: credited by
-            # remove_worker, never answering — drop their park entries.
-            for rid in list(self._stale_holders):
-                self._stale_holders[rid].pop(worker.worker_id, None)
-                if not self._stale_holders[rid]:
-                    del self._stale_holders[rid]
-            # Orphans were parked waiting for *some* replacement to become
-            # ready; if the worker that just died was that replacement, the
-            # wait is over — re-run them through _redispatch, which either
-            # re-parks (another respawn is coming) or fails them.  Leaving
-            # them parked would hang their futures forever.
-            victims.extend(self._orphans)
-            self._orphans = []
+            # A request whose copy lives on elsewhere keeps waiting for it.
+            # The rest — its victims, and requests parked for a replacement
+            # that may have been this worker — go through _redispatch,
+            # which re-dispatches, re-parks (another worker is coming) or
+            # fails them.  Leaving them parked would hang their futures.
+            victims = self._drop_holder(worker.worker_id)
             # Link lost but the router-owned process lives: it will
             # reconnect.  An externally launched worker's process is out of
             # sight, so it gets the same reconnect grace on faith — the
@@ -1874,29 +1868,19 @@ class ClusterService:
         self._rollout_tick()
 
     def _redispatch(self, rid: int) -> None:
-        """Move an admitted request onto a live worker (crash requeue)."""
-        endpoint = None
-        failed_future: Optional[Future] = None
+        """Move an admitted request that holds no slot onto a live worker
+        (crash requeue); a no-op once it holds one or has been answered."""
         failure: Optional[BaseException] = None
         with self._lock:
             entry = self._pending.get(rid)
-            if entry is None:
+            if entry is None or entry.holders or entry.reap_at is not None:
                 return
             now = time.perf_counter()
             if entry.deadline is not None and now >= entry.deadline:
                 # Expired while losing its worker: drop instead of
-                # re-dispatching — never execute past-deadline work.  The
-                # primary slot was already handled by whoever called us;
-                # surviving hedge holders park for their late answers.
+                # re-dispatching — never execute past-deadline work.
                 del self._pending[rid]
                 self._deadline_expired += 1
-                if entry.holders:
-                    reap_at = now + self._stale_grace_s
-                    self._stale_holders[rid] = {
-                        holder: (generation, reap_at)
-                        for holder, generation in entry.holders.items()
-                    }
-                failed_future = entry.future
                 failure = DeadlineExceededError(
                     "deadline expired during crash recovery; request "
                     "dropped unexecuted"
@@ -1908,12 +1892,10 @@ class ClusterService:
                 # controller already discounted the dead holder.  The
                 # comparison pair treats the crash as "no sample".
                 del self._pending[rid]
-                failed_future = entry.future
                 failure = WorkerCrashError(
                     f"canary probe {rid} lost its worker; sample dropped"
                 )
             else:
-                entry.requeues += 1
                 self._requeued += 1
                 # Retag to the model's *current* serving digest: a requeue
                 # may straddle a rollout commit, and the replacement worker
@@ -1923,53 +1905,41 @@ class ClusterService:
                 entry.digest = self._handles[entry.model].digest
                 # force=True: this work was admitted once already; shedding
                 # it now would turn a worker crash into client-visible
-                # errors.  Workers already holding a copy are excluded — a
-                # duplicate on the *same* worker id would collide with its
-                # own late answer.
-                worker_id = self.router.acquire(
-                    entry.model, force=True, exclude=list(entry.holders))
-                if worker_id is None or worker_id not in self._workers:
-                    if worker_id is not None:
-                        self.router.release(worker_id)
+                # errors.
+                worker = self._slot_worker(
+                    self.router.acquire(entry.model, force=True))
+                if worker is None:
                     replacement_coming = not self._closed and (
                         any(not w.ready for w in self._workers.values())
                         or bool(self._spawn_pending)
                         or bool(self._rejoin_pending)
                     )
                     if replacement_coming:
-                        # Park until the replacement's "ready" drains
-                        # orphans (spawned workers and expected reconnects
-                        # both end in a "ready"; the supervisor reaps the
-                        # ones that never arrive and drains the orphans
-                        # again).
-                        self._orphans.append(rid)
+                        # Parked: the replacement's "ready" finds it by its
+                        # empty holders (spawned workers and expected
+                        # reconnects both end in a "ready"; the supervisor
+                        # reaps the ones that never arrive and re-runs it).
                         return
-                    self._pending.pop(rid, None)
-                    failed_future = entry.future
+                    del self._pending[rid]
                     failure = WorkerCrashError(
                         f"request {rid} lost its worker and no replacement "
                         f"is available"
                     )
                 else:
-                    entry.worker = worker_id
-                    worker = self._workers[worker_id]
-                    entry.generation = worker.generation
+                    entry.holders[worker.worker_id] = worker.generation
                     entry.dispatched_at = now
-                    endpoint = worker.endpoint
-                    message = ("reqs", [(rid, entry.model, entry.image,
-                                         entry.digest)])
-        if failed_future is not None:
-            if not failed_future.done():
-                failed_future.set_exception(failure)
+        if failure is not None:
+            if not entry.future.done():
+                entry.future.set_exception(failure)
             return
-        if not _send(endpoint, message):
+        if not _send(worker.endpoint, _reqs_frame(rid, entry)):
             # The replacement's link closed under us.  Its conn_lost event
             # may not have arrived yet, so declare the death ourselves:
-            # that removes the worker from the router/worker maps and
-            # requeues this rid (it is pending on this worker) along with
-            # any other victims.  Each level of this recursion removes one
-            # worker, so it is bounded by the worker count — never by luck.
-            self.router.release(worker_id, entry.generation)
+            # that credits its slots, removes it from the router/worker
+            # maps and requeues this rid (it holds a slot there) along
+            # with any other victims.  Each level of this recursion removes
+            # one worker, so it is bounded by the worker count — never by
+            # luck.
             self._handle_worker_death(worker)
 
     # ------------------------------------------------------------- elasticity
@@ -2140,18 +2110,21 @@ class ClusterService:
         return True
 
     def _finalize_retired(self, worker: _Worker) -> None:
-        """Reap a drained retiree; requeue anything it never answered.
+        """Reap a drained retiree; requeue what only it held.
 
         A retiring worker that crashed mid-drain (or received a dispatch
-        that raced its stop) leaves pending entries behind — they must be
-        re-dispatched, not stranded, exactly like a crash victim's.
+        that raced its stop) leaves holders behind.  It is dropped from
+        them exactly like a dead worker: a request left with no holder is
+        re-dispatched, not stranded, and one with a copy elsewhere (a
+        hedge, a retry) keeps waiting for that copy.
         """
         with self._lock:
             if self._workers.get(worker.worker_id) is not worker:
                 return
             del self._workers[worker.worker_id]
-            strays = [rid for rid, entry in self._pending.items()
-                      if entry.worker == worker.worker_id]
+            # Like a dead worker: a request with a copy elsewhere keeps
+            # waiting for it; only one left with no holder moves.
+            strays = self._drop_holder(worker.worker_id)
             self._slot_free.notify_all()
         worker.endpoint.shutdown(timeout_s=5.0)
         for rid in strays:
@@ -2379,22 +2352,19 @@ class ClusterService:
             if controller.phase != "canary" or not controller.should_probe():
                 return
             new_digest = controller.new_digest
-            worker_id = self.router.acquire(key, record_shed=False,
-                                            digest=new_digest)
-            if worker_id is None or worker_id not in self._workers:
-                if worker_id is not None:
-                    self.router.release(worker_id)
+            worker = self._slot_worker(self.router.acquire(
+                key, record_shed=False, digest=new_digest))
+            if worker is None:
                 return  # no declared holder has room: skip the sample
             now = time.perf_counter()
             rid = self._next_rid
             self._next_rid += 1
             future: Future = Future()
             future.set_running_or_notify_cancel()
-            worker = self._workers[worker_id]
             self._pending[rid] = _Pending(
-                future=future, model=key, image=image, worker=worker_id,
-                submitted_at=now, deadline=now + self._stale_grace_s,
-                dispatched_at=now, generation=worker.generation,
+                future=future, model=key, image=image, submitted_at=now,
+                holders={worker.worker_id: worker.generation},
+                deadline=now + self._stale_grace_s, dispatched_at=now,
                 digest=new_digest, probe=True,
             )
             endpoint = worker.endpoint
@@ -2631,7 +2601,6 @@ class ClusterService:
             self._baseline_attachments.append(attached)
             pool.register(attached.network, name=model, warm=True)
         service_kwargs.setdefault("max_batch_size", self.config.max_batch_size)
-        service_kwargs.setdefault("max_wait_ms", self.config.max_wait_ms)
         service_kwargs.setdefault("cache_capacity", self._cache_capacity)
         service_kwargs.setdefault("chunk_bytes", self.config.chunk_bytes)
         return InferenceService(pool=pool, **service_kwargs)

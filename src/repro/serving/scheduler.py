@@ -125,8 +125,9 @@ class BatchingScheduler:
     max_batch_size:
         Upper bound on one batch; a longer queue is cut into several.
     max_wait_ms:
-        Accepted and validated (it must not be negative) so existing
-        callers keep working; the work-conserving policy does not read it.
+        Accepted and validated (it must not be negative) only because the
+        frozen end-to-end harness (``benchmarks/e2e``) passes it; the
+        work-conserving policy does not read it.
     clock:
         Injectable monotonic clock stamping queue entry, the cut and the
         executor's return (``BatchRecord.wait_ms`` / ``wall_ms``).

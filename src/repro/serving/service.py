@@ -200,7 +200,9 @@ class InferenceService:
         :class:`BatchingScheduler`).
     max_wait_ms:
         Passed to each scheduler, which validates it but does not wait on
-        it (see :class:`BatchingScheduler`).
+        it (see :class:`BatchingScheduler`).  Kept only because the frozen
+        end-to-end harness (``benchmarks/e2e``) passes it; the cluster
+        side does not take it.
     cache_capacity:
         LRU response-cache entries; ``0`` disables response caching.
     chunk_size:

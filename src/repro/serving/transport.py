@@ -95,6 +95,10 @@ class TransportClosed(ConnectionError):
     """The peer hung up (or the channel was closed locally)."""
 
 
+class _RouterStopped(TransportClosed):
+    """The router sent ``stop`` while the worker waited for an artifact."""
+
+
 class WorkerInitError(RuntimeError):
     """A socket worker failed deterministically while initializing.
 
@@ -449,25 +453,44 @@ def _connect(address: str, timeout_s: float = 10.0) -> socket.socket:
     return sock
 
 
-def _connect_with_retry(address: str, retry_s: float,
-                        poll_s: float = 0.1) -> Optional[socket.socket]:
-    """Dial until the router answers or ``retry_s`` elapses.
+#: Pause between two dials of a worker looking for its router.
+_DIAL_POLL_S = 0.1
+
+
+def _dial_router(address: str,
+                 deadline: float) -> Optional[Tuple[Channel, tuple]]:
+    """Dial and say hello until a router welcomes this worker; returns
+    ``(channel, welcome)``, or ``None`` once the monotonic ``deadline``
+    passes.
 
     This is what lets an operator start workers *before* the router: the
-    worker polls until the listener exists (connection refused / missing
-    socket file are retried; other errors propagate).
+    worker redials every :data:`_DIAL_POLL_S` while the listener is
+    missing (connection refused / missing socket file; other errors
+    propagate) or drops the link before ``welcome`` (a closing router).
     """
-    deadline = time.monotonic() + retry_s
     while True:
         try:
             sock = _connect(address)
-            sock.settimeout(None)
-            return sock
         except (ConnectionRefusedError, FileNotFoundError, ConnectionResetError,
                 socket.timeout, TimeoutError):
-            if time.monotonic() >= deadline:
-                return None
-            time.sleep(poll_s)
+            pass
+        else:
+            sock.settimeout(None)
+            channel = Channel(sock)
+            try:
+                channel.send(("hello", {"pid": os.getpid(),
+                                        "host": socket.gethostname()}))
+                welcome = channel.recv()
+                if (isinstance(welcome, tuple) and welcome
+                        and welcome[0] == "welcome"):
+                    return channel, welcome
+            except TransportClosed:
+                pass
+            channel.close()
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return None
+        time.sleep(min(_DIAL_POLL_S, remaining))
 
 
 # ---------------------------------------------------------------------------
@@ -786,6 +809,8 @@ def fetch_artifact(channel: Channel, worker_id: str, digest: str,
     during worker initialization and during dynamic attaches (mid-stream);
     ``defer`` collects the unrelated messages that arrive while waiting
     for the blob, so the serve loop can replay them instead of losing them.
+    A ``stop`` ends the wait: it is deferred too, behind the messages that
+    came before it, and :class:`_RouterStopped` is raised.
     """
     channel.send(("fetch", worker_id, digest))
     while True:
@@ -795,9 +820,9 @@ def fetch_artifact(channel: Channel, worker_id: str, digest: str,
             return bytes(message[2])
         if kind == "blob_error" and message[1] == digest:
             raise RuntimeError(f"router could not serve artifact: {message[2]}")
-        if kind == "stop":
-            raise TransportClosed("router stopped during artifact fetch")
         defer.append(message)
+        if kind == "stop":
+            raise _RouterStopped("router stopped during artifact fetch")
 
 
 def build_worker_service(attachments: Sequence, config):
@@ -838,7 +863,6 @@ def build_worker_service(attachments: Sequence, config):
         pool=pool,
         engine=PhoneBitEngine(num_threads=config.threads, backend=backend),
         max_batch_size=config.max_batch_size,
-        max_wait_ms=config.max_wait_ms,
         cache_capacity=config.cache_capacity,
         chunk_bytes=config.chunk_bytes,
     )
@@ -952,7 +976,10 @@ def _serve_session(channel: Channel, welcome, cache,
                 # the per-host digest cache (one wire fetch per host ever).
                 for model, digest, nbytes, shm_name in message[1]:
                     t0 = time.perf_counter()
-                    attached = _resolve(model, digest, nbytes, shm_name)
+                    try:
+                        attached = _resolve(model, digest, nbytes, shm_name)
+                    except _RouterStopped:
+                        break  # the deferred stop ends the session
                     service.pool.register(attached.network, name=model,
                                           warm=True, digest=digest)
                     _send_response(("attached", worker_id, model,
@@ -974,6 +1001,8 @@ def _serve_session(channel: Channel, welcome, cache,
                                               warm=True, digest=digest,
                                               activate=False)
                         service.warm(model, digest)
+                    except _RouterStopped:
+                        break  # the deferred stop ends the session
                     except TransportClosed:
                         raise
                     except Exception as exc:  # noqa: BLE001 - staging must not kill serving
@@ -1099,7 +1128,9 @@ def run_cluster_worker(address: str, threads: Optional[int] = None,
         overrides the router-sent worker config for *this host only* —
         the knob is per host because the toolchain is.
     retry_s : float
-        How long to keep dialing a router that is not (yet) listening.
+        How long to keep dialing a router that is not (yet) listening or
+        drops the link before its ``welcome``; each ``welcome`` renews the
+        budget for the next reconnect.
     reconnect : bool
         Reconnect after connection loss (``False``: exit instead).
 
@@ -1116,21 +1147,17 @@ def run_cluster_worker(address: str, threads: Optional[int] = None,
     code = 1
     try:
         while True:
-            sock = _connect_with_retry(address, retry_s)
-            if sock is None:
+            dialled = _dial_router(address, time.monotonic() + retry_s)
+            if dialled is None:
                 log(f"worker: no router at {address} after {retry_s:.0f}s")
                 return 1
-            channel = Channel(sock)
+            channel, welcome = dialled
             try:
-                channel.send(("hello", {"pid": os.getpid(),
-                                        "host": socket.gethostname()}))
-                welcome = channel.recv()
-                if not (isinstance(welcome, tuple) and welcome
-                        and welcome[0] == "welcome"):
-                    raise TransportClosed("router sent no welcome")
                 outcome = _serve_session(channel, welcome, cache,
                                          attachments_by_digest, threads, log,
                                          cli_backend=backend)
+            except _RouterStopped:
+                outcome = "stop"
             except TransportClosed:
                 outcome = "lost"
             except WorkerInitError as exc:

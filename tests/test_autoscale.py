@@ -473,6 +473,54 @@ class TestClusterScaleEvents:
             assert np.array_equal(outputs, base.rows())
             wait_for_worker_count(cluster, 2)
 
+    def test_retiree_is_struck_from_the_ledger_like_a_dead_worker(self):
+        """Finalizing a retired worker drops it from each request's holders:
+        a request with a copy on another worker (a hedge, a retry) keeps
+        waiting for that copy instead of being dispatched a third time."""
+        from concurrent.futures import Future
+
+        from repro.serving.cluster import _Pending
+
+        with make_cluster(workers=3) as cluster:
+            image = synthetic_images((8, 8, 3), 1, seed=7)[0]
+            future: Future = Future()
+            with cluster._lock:
+                retiree, survivor = sorted(cluster._workers)[:2]
+                holders = {}
+                for wid in (retiree, survivor):
+                    others = [w for w in cluster._workers if w != wid]
+                    assert cluster.router.acquire(
+                        "MicroCNN", force=True, exclude=others) == wid
+                    holders[wid] = cluster._workers[wid].generation
+                # Two copies in flight that no worker was sent: only the
+                # ledger decides what happens to the request.
+                cluster._pending[-1] = _Pending(
+                    future=future, model="MicroCNN", image=image,
+                    submitted_at=time.perf_counter(), holders=holders)
+                victim = cluster._workers[retiree]
+                victim.stopping = True
+                cluster.router.remove_worker(retiree)
+            dispatched = cluster.router.stats().dispatched
+            victim.endpoint.request_stop()
+            deadline = time.time() + WAIT_S
+            while retiree in cluster._workers and time.time() < deadline:
+                time.sleep(0.02)
+            with cluster._lock:
+                assert retiree not in cluster._workers
+                assert cluster._pending[-1].holders == {
+                    survivor: holders[survivor]}
+            assert cluster.router.stats().dispatched == dispatched
+            assert cluster.cluster_report().requeued == 0
+            # The surviving copy's answer resolves it and frees its slot.
+            answer = np.zeros(10, dtype=np.float32)
+            cluster._handle_response(("res", survivor, -1, answer))
+            assert np.array_equal(future.result(timeout=0), answer)
+            with cluster._lock:
+                assert cluster._pending == {}
+            stats = cluster.router.stats()
+            assert stats.outstanding == 0
+            assert stats.dispatched == stats.completed
+
     def test_scale_down_declines_below_the_floor(self):
         with make_cluster(workers=1) as cluster:
             assert cluster.scale_down() == 0

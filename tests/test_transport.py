@@ -13,8 +13,10 @@ import socket
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+import uuid
 from dataclasses import asdict
 
 import numpy as np
@@ -88,8 +90,8 @@ class TestCodec:
         """``welcome`` carries the config as plain data, rebuilt exactly."""
         from repro.serving.cluster import WorkerConfig
 
-        config = WorkerConfig(max_batch_size=7, max_wait_ms=1.5,
-                              chunk_bytes=None, backend="numpy")
+        config = WorkerConfig(max_batch_size=7, chunk_bytes=None,
+                              backend="numpy")
         manifest = [("MicroCNN", "ab" * 32, 1024, "repro-seg")]
         kind, wid, back_manifest, back_config = roundtrip(
             ("welcome", "w1", manifest, asdict(config)))
@@ -599,6 +601,98 @@ class TestWorkerSession:
             worker.close()
         assert outcome == ["stop"]
         assert kinds == ["ready", "bye"]
+
+    @staticmethod
+    def _listener():
+        """A plain UDS listener (no router behind it) and its address."""
+        path = os.path.join(tempfile.gettempdir(),
+                            f"repro-test-{uuid.uuid4().hex[:8]}.sock")
+        server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        server.bind(path)
+        server.listen(16)
+        return server, path
+
+    def test_stop_during_artifact_fetch_stops_the_worker(self):
+        """A ``stop`` answering the manifest's ``fetch`` ends the worker
+        with code 0; it does not take the stop for a lost link and redial."""
+        from repro.serving.cluster import WorkerConfig
+        from repro.serving.transport import run_cluster_worker
+
+        server, path = self._listener()
+        config = asdict(WorkerConfig(heartbeat_interval_s=WAIT_S))
+        # An artifact no host cache holds, with no owner segment: fetched.
+        manifest = [("MicroCNN", uuid.uuid4().hex * 2, 64, "")]
+        seen = []
+
+        def router():
+            conn, _ = server.accept()
+            server.close()  # a second dial is refused
+            channel = Channel(conn)
+            try:
+                seen.append(channel.recv()[0])
+                channel.send(("welcome", "w0", manifest, config))
+                seen.append(channel.recv()[0])
+                channel.send(("stop",))
+                while True:
+                    seen.append(channel.recv()[0])
+            except TransportClosed:
+                pass
+            finally:
+                channel.close()
+
+        thread = threading.Thread(target=router, daemon=True)
+        thread.start()
+        try:
+            code = run_cluster_worker(format_address("uds", path),
+                                      retry_s=0.5, log=lambda _line: None)
+            thread.join(timeout=WAIT_S)
+        finally:
+            server.close()
+            os.unlink(path)
+        assert not thread.is_alive()
+        assert code == 0
+        assert seen == ["hello", "fetch"]
+
+    def test_dials_without_welcome_spend_one_retry_budget(self):
+        """A listener that accepts and drops every link before ``welcome``
+        (a closed cluster) is redialled every poll interval until
+        ``retry_s`` is spent, not in a tight loop."""
+        from repro.serving.transport import _DIAL_POLL_S, run_cluster_worker
+
+        retry_s = 0.5
+        max_dials = round(retry_s / _DIAL_POLL_S) + 1
+        server, path = self._listener()
+        server.settimeout(0.05)
+        dials = [0]
+        done = threading.Event()
+
+        def accept_and_close():
+            # A runaway loop meets a refused dial after 10x the bound, so
+            # it fails this test instead of spinning forever.
+            while not done.is_set() and dials[0] < 10 * max_dials:
+                try:
+                    conn, _ = server.accept()
+                except socket.timeout:
+                    continue
+                dials[0] += 1
+                conn.close()
+            server.close()
+
+        thread = threading.Thread(target=accept_and_close, daemon=True)
+        thread.start()
+        try:
+            t0 = time.monotonic()
+            code = run_cluster_worker(format_address("uds", path),
+                                      retry_s=retry_s, log=lambda _line: None)
+            elapsed = time.monotonic() - t0
+        finally:
+            done.set()
+            thread.join(timeout=WAIT_S)
+            os.unlink(path)
+        assert not thread.is_alive()
+        assert code == 1
+        assert 1 <= dials[0] <= max_dials
+        assert elapsed < retry_s + 0.5
 
 
 class TestSocketCluster:
