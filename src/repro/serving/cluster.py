@@ -92,6 +92,9 @@ __all__ = [
 #: (:meth:`~repro.serving.router.LeastOutstandingRouter.retry_after_s`).
 _SHED_BATCH_WALL_MS = 2.0
 
+#: Control-thread ledger sweep period (s): also its longest sleep.
+_SWEEP_S = 0.02
+
 
 class ClusterOverloadError(RuntimeError):
     """Raised when every worker is at its admission bound (request shed).
@@ -249,7 +252,6 @@ class WorkerConfig:
     """Per-worker service configuration (sent as ``asdict`` in ``welcome``)."""
 
     max_batch_size: int = 32
-    cache_capacity: int = 0
     chunk_bytes: Optional[int] = None
     threads: Optional[int] = 1
     heartbeat_interval_s: float = 0.2
@@ -544,11 +546,12 @@ class ClusterService:
     store:
         An externally owned :class:`SharedModelStore`; by default the
         cluster builds the models, publishes them and owns the store.
-    max_batch_size / cache_capacity / chunk_bytes:
-        Per-worker :class:`InferenceService` configuration.  Worker
-        response caches default to **off** — a cluster-wide cache lives on
-        the roadmap, and per-worker caches would make hit rates
-        routing-shaped.
+    max_batch_size / chunk_bytes:
+        Per-worker :class:`InferenceService` configuration.
+    cache_capacity:
+        Entries in the cluster-wide response cache on the front end
+        (default 0: off).  Workers run cache-less: per-worker caches
+        would make hit rates routing-shaped.
     worker_threads:
         Fused-executor threads per worker (default 1: the cluster already
         provides the process-level parallelism).
@@ -563,7 +566,7 @@ class ClusterService:
         that overload sheds instead of building unbounded queues.
     heartbeat_interval_s / heartbeat_timeout_s:
         Worker liveness reporting and the staleness threshold after which
-        the supervisor declares a worker dead.
+        supervision declares a worker dead.
     max_respawns:
         Total crash-respawn budget (default: ``workers``).
     mp_context:
@@ -622,10 +625,10 @@ class ClusterService:
         A :class:`~repro.serving.faults.FaultPlan` (or a prepared
         :class:`~repro.serving.faults.FaultInjector`) armed against this
         cluster: worker endpoints and inbound delivery are threaded
-        through its frame rules, and its scheduler fires crash/stall/
-        partition faults at the seeded times.  The fired schedule is on
-        :attr:`fault_events`.  Test/benchmark machinery — never enable in
-        production serving.
+        through its frame rules, and the control thread fires its
+        crash/stall/partition faults at the seeded times.  The fired
+        schedule is on :attr:`fault_events`.  Test/benchmark machinery —
+        never enable in production serving.
     slo_reserves:
         ``{class: slots}`` enabling SLO-class tiered admission on the
         router: each class may only fill a worker up to
@@ -705,18 +708,16 @@ class ClusterService:
 
         # The response cache is **cluster-wide**: one LRU on the front
         # end, keyed by (model, serving digest, input digest).  Workers
-        # run cache-less (cache_capacity=0 in their config) — per-worker
-        # caches would make hit rates routing-shaped, where the same
-        # repeated request hits or misses depending on which worker the
-        # balancer picked.  Digest-keyed entries also make a rollback
-        # safe: the rolled-back version's responses can never serve for
-        # the restored one.
+        # run cache-less — per-worker caches would make hit rates
+        # routing-shaped, where the same repeated request hits or misses
+        # depending on which worker the balancer picked.  Digest-keyed
+        # entries also make a rollback safe: the rolled-back version's
+        # responses can never serve for the restored one.
         self._cache_capacity = cache_capacity
         self._response_cache = (LRUResponseCache(cache_capacity)
                                 if cache_capacity else None)
         self.config = WorkerConfig(
             max_batch_size=max_batch_size,
-            cache_capacity=0,
             chunk_bytes=chunk_bytes,
             threads=worker_threads,
             heartbeat_interval_s=heartbeat_interval_s,
@@ -725,7 +726,7 @@ class ClusterService:
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.retry_policy = retry
         #: How long an answered request's other holders may take to send
-        #: their late answers before the monitor reaps their slots (an
+        #: their late answers before the ledger sweep reaps their slots (an
         #: answer frame may be lost for good under fault injection or a
         #: half-dead link).
         self._stale_grace_s = max(5.0, heartbeat_timeout_s)
@@ -793,16 +794,14 @@ class ClusterService:
         for _ in range(workers):
             self._spawn_worker()
 
-        self._supervisor_thread = threading.Thread(
-            target=self._supervise, name="cluster-supervisor", daemon=True
+        #: When the control thread next steps the autoscaler (``None``:
+        #: not armed).
+        self._next_scale: Optional[float] = None
+        self._control_stop = threading.Event()
+        self._control_thread = threading.Thread(
+            target=self._control, name="cluster-control", daemon=True
         )
-        self._supervise_stop = threading.Event()
-        self._supervisor_thread.start()
-
-        self._monitor_thread = threading.Thread(
-            target=self._monitor_pending, name="cluster-monitor", daemon=True
-        )
-        self._monitor_thread.start()
+        self._control_thread.start()
 
         self._wait_ready(startup_timeout_s)
 
@@ -810,16 +809,10 @@ class ClusterService:
         # faults are meant to hit a serving cluster, not its startup
         # handshake (frame rules cover the request path from here on).
         if self._faults is not None and not self._faults.started:
-            self._faults.start(_FaultController(self),
-                               deliver=self._handle_message)
-
-        self._autoscale_thread: Optional[threading.Thread] = None
+            self._faults.start(_FaultController(self))
         if self.autoscaler is not None:
-            self._autoscale_thread = threading.Thread(
-                target=self._autoscale_loop, name="cluster-autoscale",
-                daemon=True,
-            )
-            self._autoscale_thread.start()
+            self._next_scale = (time.perf_counter()
+                                + self.autoscaler.config.interval_s)
 
     # ------------------------------------------------------------- lifecycle
     @staticmethod
@@ -978,7 +971,7 @@ class ClusterService:
                          if proc is not None]
             self._spawn_pending.clear()
             self._rejoin_pending.clear()
-        self._supervise_stop.set()
+        self._control_stop.set()
         if self._faults is not None:
             # No faults during teardown: drain must mean drain.
             self._faults.stop()
@@ -1007,14 +1000,10 @@ class ClusterService:
         self._fail_outstanding(RuntimeError("cluster closed"))
         # Stop inbound delivery after the endpoints are finished with.
         self.transport.close()
-        if self._supervisor_thread.is_alive():
-            self._supervisor_thread.join(timeout=5.0)
-        monitor_thread = getattr(self, "_monitor_thread", None)
-        if monitor_thread is not None and monitor_thread.is_alive():
-            monitor_thread.join(timeout=5.0)
-        autoscale_thread = getattr(self, "_autoscale_thread", None)
-        if autoscale_thread is not None and autoscale_thread.is_alive():
-            autoscale_thread.join(timeout=5.0)
+        # close() may run on the control thread itself (a done-callback of
+        # a request the sweep failed): it then ends after this pass.
+        if self._control_thread is not threading.current_thread():
+            self._control_thread.join(timeout=5.0)
         if self._owns_store:
             self.store.close()
 
@@ -1576,7 +1565,7 @@ class ClusterService:
 
         Replaces :meth:`_handle_message` as the transport's deliver
         callback when a fault plan is armed: worker→router hot-path frames
-        may be dropped, delivered late (via the injector's timer thread)
+        may be dropped, delivered late (by a later control-thread tick)
         or duplicated before the real handler sees them.
         """
         for delay, msg in self._faults.filter_inbound(message):
@@ -1592,25 +1581,50 @@ class ClusterService:
         (:class:`~repro.serving.faults.FaultEvent`; empty without a plan)."""
         return [] if self._faults is None else self._faults.events()
 
-    # ------------------------------------------------------------- deadlines
-    def _monitor_pending(self) -> None:
-        """Deadline/retry/hedge control loop (20 ms cadence).
+    # ------------------------------------------------------------- control
+    def _control(self) -> None:
+        """The front end's one timer thread (docs/architecture.md).
 
-        One sweep over the ledger: fail requests whose end-to-end
-        deadline passed or whose final attempt outlived its patience
-        (releasing every slot they hold), re-dispatch requests whose
-        current attempt has outlived the retry policy's patience, and
-        hedge requests past the p99-based hedge delay.  Answered requests
-        whose grace expired have their remaining slots reaped here too — a
-        lost response frame must not leak admission capacity forever.
+        Each pass reads ``now`` once, runs every duty that is due, then
+        sleeps until the next due time.  No duty waits on a worker.
         """
-        while not self._supervise_stop.wait(0.02):
-            self._sweep_pending()
-            self._rollout_tick()
-
-    def _sweep_pending(self) -> None:
-        policy = self.retry_policy
+        supervise_s = max(0.05, min(self.config.heartbeat_interval_s,
+                                    self.heartbeat_timeout_s / 4.0))
         now = time.perf_counter()
+        next_sweep, next_supervise = now + _SWEEP_S, now + supervise_s
+        while not self._control_stop.is_set():
+            now = time.perf_counter()
+            if now >= next_sweep:
+                self._sweep_pending(now)
+                self._rollout_tick()
+                next_sweep = now + _SWEEP_S
+            if now >= next_supervise:
+                self._check_workers(now)
+                next_supervise = now + supervise_s
+            due = min(next_sweep, next_supervise)
+            if self._next_scale is not None:  # armed once the fleet is up
+                if now >= self._next_scale:
+                    self._autoscale_step()
+                    self._next_scale = now + self.autoscaler.config.interval_s
+                due = min(due, self._next_scale)
+            if self._faults is not None:
+                fault_due = self._faults.tick(now)
+                if fault_due is not None:
+                    due = min(due, fault_due)
+            self._control_stop.wait(max(0.0, due - time.perf_counter()))
+
+    def _sweep_pending(self, now: float) -> None:
+        """One sweep over the ledger (lock taken here).
+
+        Fail requests whose end-to-end deadline passed or whose final
+        attempt outlived its patience (releasing every slot they hold),
+        re-dispatch requests whose current attempt has outlived the retry
+        policy's patience, and hedge requests past the p99-based hedge
+        delay.  Answered requests whose grace expired have their
+        remaining slots reaped here too — a lost response frame must not
+        leak admission capacity forever.
+        """
+        policy = self.retry_policy
         failed: List[Tuple[Future, BaseException]] = []
         sends: List[Tuple[WorkerEndpoint, tuple]] = []
         p99_cache: Dict[str, tuple] = {}
@@ -1681,9 +1695,9 @@ class ClusterService:
         else:
             # Cold start: no latency distribution to scale from yet.  Fall
             # back to the heartbeat timeout — the same "worker is
-            # unresponsive" bound the supervisor uses — so a request whose
-            # very first frame was lost still retries instead of waiting
-            # for statistics.
+            # unresponsive" bound worker supervision uses — so a request
+            # whose very first frame was lost still retries instead of
+            # waiting for statistics.
             candidate = self.heartbeat_timeout_s
         base = max(policy.min_timeout_s, min(policy.max_timeout_s, candidate))
         waited = now - entry.dispatched_at
@@ -1735,23 +1749,18 @@ class ClusterService:
         return None
 
     # ------------------------------------------------------------- supervision
-    def _supervise(self) -> None:
-        interval = max(0.05, min(self.config.heartbeat_interval_s,
-                                 self.heartbeat_timeout_s / 4.0))
-        while not self._supervise_stop.wait(interval):
-            self._check_workers()
-
-    def _check_workers(self) -> None:
-        now = time.perf_counter()
+    def _check_workers(self, now: float) -> None:
         dead: List[_Worker] = []
         retired: List[_Worker] = []
         with self._lock:
             for worker in self._workers.values():
                 if worker.stopping:
                     # A retiring worker drains and exits on its own; once
-                    # its endpoint is gone, finalize it (reap resources and
-                    # requeue anything it never answered).
-                    if not self._closed and not worker.endpoint.alive():
+                    # its link is gone and its process exited, finalize it
+                    # (requeue anything it never answered; nothing waits).
+                    endpoint = worker.endpoint
+                    if (not self._closed and not endpoint.alive()
+                            and endpoint.surviving_process() is None):
                         retired.append(worker)
                     continue
                 alive = worker.endpoint.alive()
@@ -1905,9 +1914,10 @@ class ClusterService:
                 entry.digest = self._handles[entry.model].digest
                 # force=True: this work was admitted once already; shedding
                 # it now would turn a worker crash into client-visible
-                # errors.
-                worker = self._slot_worker(
-                    self.router.acquire(entry.model, force=True))
+                # errors.  Nor is finding no worker a client-visible shed
+                # (the router's shed count is the autoscaler's grow signal).
+                worker = self._slot_worker(self.router.acquire(
+                    entry.model, force=True, record_shed=False))
                 if worker is None:
                     replacement_coming = not self._closed and (
                         any(not w.ready for w in self._workers.values())
@@ -1917,8 +1927,9 @@ class ClusterService:
                     if replacement_coming:
                         # Parked: the replacement's "ready" finds it by its
                         # empty holders (spawned workers and expected
-                        # reconnects both end in a "ready"; the supervisor
-                        # reaps the ones that never arrive and re-runs it).
+                        # reconnects both end in a "ready"; the control
+                        # thread reaps the ones that never arrive and
+                        # re-runs it).
                         return
                     del self._pending[rid]
                     failure = WorkerCrashError(
@@ -2085,7 +2096,7 @@ class ClusterService:
         The victim leaves the router immediately (no new work routes to
         it; its in-flight slots are credited — late answers still resolve
         their futures, the releases just no-op), gets a graceful ``stop``
-        and drains on its own; the supervisor finalizes it once its
+        and drains on its own; the control thread finalizes it once its
         process exits.  Declines (returning ``False``) rather than go
         below the autoscaler's ``min_workers`` (or 1).
         """
@@ -2110,7 +2121,8 @@ class ClusterService:
         return True
 
     def _finalize_retired(self, worker: _Worker) -> None:
-        """Reap a drained retiree; requeue what only it held.
+        """Reap a drained retiree whose process exited; requeue what only
+        it held.
 
         A retiring worker that crashed mid-drain (or received a dispatch
         that raced its stop) leaves holders behind.  It is dropped from
@@ -2126,7 +2138,7 @@ class ClusterService:
             # waiting for it; only one left with no holder moves.
             strays = self._drop_holder(worker.worker_id)
             self._slot_free.notify_all()
-        worker.endpoint.shutdown(timeout_s=5.0)
+        worker.endpoint.shutdown(timeout_s=5.0)  # exited: nothing to wait for
         for rid in strays:
             self._redispatch(rid)
 
@@ -2135,32 +2147,30 @@ class ClusterService:
         """Recorded :class:`~repro.serving.autoscale.ScaleEvent` s."""
         return [] if self.autoscaler is None else list(self.autoscaler.events)
 
-    def _autoscale_loop(self) -> None:
+    def _autoscale_step(self) -> None:
+        """Feed the autoscaler one signal snapshot and act on its decision."""
         config = self.autoscaler.config
-        while not self._supervise_stop.wait(config.interval_s):
-            if self._closed:
-                return
-            stats = self.router.stats()
-            with self._lock:
-                ready = sum(1 for w in self._workers.values()
-                            if w.ready and not w.stopping)
-                starting = sum(1 for w in self._workers.values()
-                               if not w.ready and not w.stopping)
-                pending = (starting + len(self._spawn_pending)
-                           + len(self._rejoin_pending))
-            decision = self.autoscaler.observe(AutoscaleSignals(
-                workers=ready,
-                pending=pending,
-                dispatched=stats.dispatched,
-                shed=stats.shed,
-                outstanding=max(0, stats.outstanding),
-                window=ready * self.router.max_outstanding,
-            ))
-            if decision == "grow":
-                if self.scale_up(config.grow_step) == 0:
-                    self.autoscaler.refund_grow()
-            elif decision == "shrink":
-                self.scale_down(config.shrink_step)
+        stats = self.router.stats()
+        with self._lock:
+            ready = sum(1 for w in self._workers.values()
+                        if w.ready and not w.stopping)
+            starting = sum(1 for w in self._workers.values()
+                           if not w.ready and not w.stopping)
+            pending = (starting + len(self._spawn_pending)
+                       + len(self._rejoin_pending))
+        decision = self.autoscaler.observe(AutoscaleSignals(
+            workers=ready,
+            pending=pending,
+            dispatched=stats.dispatched,
+            shed=stats.shed,
+            outstanding=max(0, stats.outstanding),
+            window=ready * self.router.max_outstanding,
+        ))
+        if decision == "grow":
+            if self.scale_up(config.grow_step) == 0:
+                self.autoscaler.refund_grow()
+        elif decision == "shrink":
+            self.scale_down(config.shrink_step)
 
     def worker_detail(self) -> Dict[str, dict]:
         """Per-worker attach surface: models held, bytes, warm timings.
@@ -2377,8 +2387,8 @@ class ClusterService:
     def _rollout_tick(self) -> None:
         """Drive every live rollout one decision step.
 
-        Runs on the monitor cadence (and inline after every rollout
-        event): asks each controller to decide, executes promote
+        Runs on the control thread's sweep cadence (and inline after
+        every rollout event): asks each controller to decide, executes promote
         decisions (commit fan-out), finalizes terminal phases — flipping
         the front end's serving handle on commit, flipping back
         partially-committed workers on rollback — and performs the

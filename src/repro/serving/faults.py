@@ -47,6 +47,7 @@ import heapq
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -290,25 +291,26 @@ class _FrameRuleState:
 class FaultInjector:
     """Runtime executor of one :class:`FaultPlan` against one cluster.
 
-    The cluster owns the lifecycle: it calls :meth:`start` with a
-    controller (its own adapter exposing ``worker_ids`` / ``kill`` /
-    ``stall``), wraps every worker endpoint with :meth:`wrap_endpoint`,
-    and filters inbound delivery through :meth:`filter_inbound`.  The
-    injector is single-use — build a fresh one per run
-    (:meth:`FaultPlan.injector`).
+    A clock-driven core like :class:`~repro.serving.autoscale.Autoscaler`:
+    it owns no thread.  The cluster calls :meth:`start` with a controller
+    (its own adapter exposing ``worker_ids`` / ``kill`` / ``stall``),
+    wraps every worker endpoint with :meth:`wrap_endpoint`, filters
+    inbound delivery through :meth:`filter_inbound`, and calls
+    :meth:`tick` from its control thread.  The injector is single-use —
+    build a fresh one per run (:meth:`FaultPlan.injector`).
 
     Injection points
     ----------------
     * outbound frames — :meth:`wrap_endpoint` intercepts ``send``:
-      hot-path frames may be dropped, delayed (delivered late by the
-      injector's timer thread) or duplicated; a partitioned worker's
-      frames all vanish for the window.
+      hot-path frames may be dropped, delayed (delivered late by a later
+      :meth:`tick`) or duplicated; a partitioned worker's frames all
+      vanish for the window.
     * inbound frames — :meth:`filter_inbound` does the same for
       worker→router messages.
-    * scheduled worker faults — a timer thread fires ``crash`` (SIGKILL
-      via the controller), ``stall`` (a control message freezes the
-      worker's serve loop) and ``partition`` windows at their seeded
-      times.
+    * scheduled worker faults — :meth:`tick` fires ``crash`` (SIGKILL via
+      the controller), ``stall`` (a control message freezes the worker's
+      serve loop) and ``partition`` windows once their seeded times are
+      due.
     * reconnect slow-start — :meth:`reconnect_delay_s` tells the
       registration path how long to hold a worker's re-admission.
     """
@@ -328,41 +330,35 @@ class FaultInjector:
         self._slow_start = [r for r in plan.rules if r.kind == "slow_start"]
         self._lock = threading.Lock()
         self._events: List[FaultEvent] = []
-        #: ``{worker_id: partition_end_monotonic}``
+        #: ``{worker_id: partition_end}`` on :attr:`_clock`.
         self._partitioned: Dict[str, float] = {}
         self._controller = None
-        self._deliver: Optional[Callable[[tuple], None]] = None
+        self._clock: Callable[[], float] = time.perf_counter
         self._t0: Optional[float] = None
-        self._stop = threading.Event()
-        self._timer_thread: Optional[threading.Thread] = None
-        #: Delayed deliveries: heap of (due_monotonic, seq, fire_fn).
+        self._stopped = False
+        #: Delayed deliveries: heap of (due, seq, fire_fn) on :attr:`_clock`.
         self._delayed: List[tuple] = []
         self._delayed_seq = 0
-        self._delayed_cv = threading.Condition(self._lock)
 
     # ------------------------------------------------------------- lifecycle
     def start(self, controller,
-              deliver: Optional[Callable[[tuple], None]] = None) -> None:
-        """Arm the injector.  ``controller`` needs ``worker_ids()`` →
-        sorted live ids, ``kill(worker_id)`` and ``stall(worker_id,
-        seconds)``; ``deliver`` re-injects delayed inbound messages."""
+              clock: Callable[[], float] = time.perf_counter) -> None:
+        """Arm the injector: ``t0`` is now on ``clock``, the clock every
+        :meth:`tick` ``now`` is read from.  ``controller`` needs
+        ``worker_ids()`` → sorted live ids, ``kill(worker_id)`` and
+        ``stall(worker_id, seconds)``."""
         with self._lock:
             if self._t0 is not None:
                 raise RuntimeError("injector already started (single-use)")
             self._controller = controller
-            self._deliver = deliver
-            self._t0 = time.monotonic()
-        self._timer_thread = threading.Thread(
-            target=self._timer_loop, name="fault-injector", daemon=True,
-        )
-        self._timer_thread.start()
+            self._clock = clock
+            self._t0 = clock()
 
     def stop(self) -> None:
-        self._stop.set()
+        """Disarm for good: frames pass through and nothing fires."""
         with self._lock:
-            self._delayed_cv.notify_all()
-        if self._timer_thread is not None:
-            self._timer_thread.join(timeout=5.0)
+            self._stopped = True
+            self._delayed.clear()
 
     @property
     def started(self) -> bool:
@@ -371,7 +367,7 @@ class FaultInjector:
     def now_s(self) -> float:
         """Seconds since :meth:`start` (0.0 before it)."""
         t0 = self._t0
-        return 0.0 if t0 is None else time.monotonic() - t0
+        return 0.0 if t0 is None else self._clock() - t0
 
     def events(self) -> List[FaultEvent]:
         """Faults actually fired so far, in firing order."""
@@ -390,7 +386,7 @@ class FaultInjector:
             end = self._partitioned.get(worker_id)
             if end is None:
                 return False
-            if time.monotonic() >= end:
+            if self._clock() >= end:
                 del self._partitioned[worker_id]
                 return False
             return True
@@ -409,7 +405,7 @@ class FaultInjector:
         Messages outside the hot path pass through untouched unless the
         worker is partitioned.
         """
-        if self._stop.is_set():  # draining/teardown: no faults
+        if self._stopped:  # draining/teardown: no faults
             return [(0.0, message)]
         if self.partitioned(worker_id):
             return []
@@ -420,7 +416,7 @@ class FaultInjector:
 
     def filter_inbound(self, message) -> List[Tuple[float, object]]:
         """Frame decision for one inbound (worker→router) message."""
-        if self._stop.is_set():  # draining/teardown: no faults
+        if self._stopped:  # draining/teardown: no faults
             return [(0.0, message)]
         kind = self._message_kind(message)
         worker_id = None
@@ -462,12 +458,11 @@ class FaultInjector:
         return _FaultyEndpoint(endpoint, self)
 
     def schedule_delivery(self, delay_s: float, fire: Callable[[], None]) -> None:
-        """Run ``fire`` after ``delay_s`` on the injector's timer thread."""
+        """Run ``fire`` on the first :meth:`tick` ``delay_s`` from now."""
         with self._lock:
             self._delayed_seq += 1
             heapq.heappush(self._delayed,
-                           (time.monotonic() + delay_s, self._delayed_seq, fire))
-            self._delayed_cv.notify_all()
+                           (self._clock() + delay_s, self._delayed_seq, fire))
 
     # ------------------------------------------------------------- reconnects
     def reconnect_delay_s(self) -> float:
@@ -480,61 +475,49 @@ class FaultInjector:
         return rule.delay_s
 
     # ------------------------------------------------------------- scheduler
-    def _timer_loop(self) -> None:
-        pending = list(self._scheduled)
-        while not self._stop.is_set():
-            now_mono = time.monotonic()
-            now = self.now_s()
-            # Fire due scheduled rules.
-            while pending and pending[0].at_s <= now:
-                rule = pending.pop(0)
-                try:
-                    self._fire(rule)
-                except Exception:  # pragma: no cover - defensive
-                    pass
-            # Fire due delayed frame deliveries.
-            fire_now: List[Callable[[], None]] = []
-            with self._lock:
-                while self._delayed and self._delayed[0][0] <= now_mono:
-                    _, _, fn = heapq.heappop(self._delayed)
-                    fire_now.append(fn)
-            for fn in fire_now:
-                try:
-                    fn()
-                except Exception:  # pragma: no cover - defensive
-                    pass
-            with self._lock:
-                next_due = None
-                if pending:
-                    next_due = self._t0 + pending[0].at_s
-                if self._delayed:
-                    due = self._delayed[0][0]
-                    next_due = due if next_due is None else min(next_due, due)
-                timeout = 0.02 if next_due is None else max(
-                    0.0, min(0.02, next_due - time.monotonic()))
-                self._delayed_cv.wait(timeout=timeout)
-            if not pending and not self._delayed and self._stop.is_set():
-                return
+    def tick(self, now: float) -> Optional[float]:
+        """Fire every scheduled rule and delayed delivery due at ``now``.
 
-    def _fire(self, rule: FaultRule) -> None:
-        controller = self._controller
-        if controller is None:  # pragma: no cover - not started
-            return
-        ids = sorted(controller.worker_ids())
+        ``now`` is read on the :meth:`start` clock.  Returns when the next
+        one falls due (same clock) — the caller's wake-up time — or
+        ``None`` when nothing is queued, before :meth:`start` and after
+        :meth:`stop`.
+        """
+        with self._lock:
+            if self._t0 is None or self._stopped:
+                return None
+            rules = []
+            while self._scheduled and self._t0 + self._scheduled[0].at_s <= now:
+                rules.append(self._scheduled.pop(0))
+            fire_now = []
+            while self._delayed and self._delayed[0][0] <= now:
+                fire_now.append(heapq.heappop(self._delayed)[2])
+        fires = [partial(self._fire, rule, now) for rule in rules] + fire_now
+        for fire in fires:
+            try:
+                fire()
+            except Exception:  # pragma: no cover - defensive
+                pass  # a fault that cannot land must not stop the caller
+        with self._lock:
+            due = [self._t0 + rule.at_s for rule in self._scheduled[:1]]
+            due += [item[0] for item in self._delayed[:1]]
+            return min(due, default=None)
+
+    def _fire(self, rule: FaultRule, now: float) -> None:
+        ids = sorted(self._controller.worker_ids())
         if not ids:
             return
         worker_id = ids[rule.target_index % len(ids)]
         if rule.kind == "crash":
             self._record("crash", worker_id, 0.0)
-            controller.kill(worker_id)
+            self._controller.kill(worker_id)
         elif rule.kind == "stall":
             self._record("stall", worker_id, rule.duration_s)
-            controller.stall(worker_id, rule.duration_s)
+            self._controller.stall(worker_id, rule.duration_s)
         elif rule.kind == "partition":
             self._record("partition", worker_id, rule.duration_s)
             with self._lock:
-                self._partitioned[worker_id] = (time.monotonic()
-                                                + rule.duration_s)
+                self._partitioned[worker_id] = now + rule.duration_s
 
 
 @dataclass

@@ -460,7 +460,7 @@ def settle_rollout(cluster, model: str, timeout_s: float = 15.0) -> dict:
     """Wait (bounded) for ``model``'s rollout to reach a terminal phase and
     return its status record — the live phase if it never does.
 
-    The cluster's monitor thread keeps ticking the rollout's timeouts, so
+    The cluster's control thread keeps ticking the rollout's timeouts, so
     the wait cannot hang past ``timeout_s``.
     """
     deadline = time.perf_counter() + timeout_s

@@ -503,7 +503,7 @@ class WorkerEndpoint:
     The cluster front end only ever talks to workers through this surface:
     ``send`` for outbound messages, ``alive`` for supervision, ``kill`` for
     tests/hard teardown, ``shutdown`` for cleanup.  ``respawnable`` tells
-    the supervisor whether the router owns the worker's lifecycle (it
+    worker supervision whether the router owns the worker's lifecycle (it
     launched the Popen-shaped ``process``) or merely its link (an externally
     launched worker, ``process=None``, re-admits itself by reconnecting).
     """
@@ -863,7 +863,7 @@ def build_worker_service(attachments: Sequence, config):
         pool=pool,
         engine=PhoneBitEngine(num_threads=config.threads, backend=backend),
         max_batch_size=config.max_batch_size,
-        cache_capacity=config.cache_capacity,
+        cache_capacity=0,  # the response cache lives on the front end
         chunk_bytes=config.chunk_bytes,
     )
     return service, attach_ms

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -15,7 +16,15 @@ from repro.core.model_format import (
     serialize_network,
 )
 from repro.models.zoo import build_phonebit_network, micro_cnn_config
-from repro.serving import ClusterOverloadError, ClusterService, SharedModelStore
+from repro.serving import (
+    AutoscaleConfig,
+    ClusterOverloadError,
+    ClusterService,
+    FaultPlan,
+    RetryPolicy,
+    SharedModelStore,
+)
+from repro.serving.faults import FaultRule
 from repro.serving.loadgen import run_closed_loop, synthetic_images
 from repro.serving.router import LeastOutstandingRouter
 from repro.serving.shm_store import attach_model
@@ -419,3 +428,38 @@ class TestClusterService:
             image = synthetic_images((8, 8, 3), 1, seed=5)[0]
             out = cluster.infer("MicroCNN", image, timeout=WAIT_S)
             assert out.shape == (10,)
+
+
+# ---------------------------------------------------------------------------
+# thread inventory (docs/architecture.md, "Threads")
+# ---------------------------------------------------------------------------
+
+class TestThreadInventory:
+    def test_front_end_runs_the_inventoried_threads_and_close_ends_them(self):
+        """Autoscaling, a fault plan and retries add no thread: the front
+        end runs its accept thread, its one control thread and a reader
+        per worker (plus a short-lived handshake per connection)."""
+        before = set(threading.enumerate())
+        plan = FaultPlan([
+            FaultRule(kind="stall", at_s=600.0, duration_s=0.1),
+            FaultRule(kind="delay", duration_s=600.0, probability=0.5,
+                      delay_s=0.01),
+        ], seed=0)
+
+        def ours():
+            return sorted(thread.name for thread in threading.enumerate()
+                          if thread not in before)
+
+        cluster = make_cluster(
+            workers=2, autoscale=AutoscaleConfig(min_workers=2, max_workers=3),
+            retry=RetryPolicy(), faults=plan)
+        try:
+            images = synthetic_images((8, 8, 3), 16, seed=9)
+            for future in cluster.submit_batch("MicroCNN", images):
+                future.result(timeout=WAIT_S)
+            assert wait_until(lambda: "cluster-handshake" not in ours())
+            assert ours() == ["cluster-accept", "cluster-control",
+                              "cluster-read-w0", "cluster-read-w1"]
+        finally:
+            cluster.close()
+        assert ours() == []

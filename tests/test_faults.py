@@ -10,7 +10,9 @@ invariants: admitted work always resolves, slots never leak, and every
 completed output stays bit-identical to the fault-free baseline.
 """
 
+import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.serving import (
     matches_baseline,
     poisson_offsets,
 )
+from repro.serving.autoscale import FakeClock
 from repro.serving.faults import FaultRule, parse_chaos_spec
 from repro.serving.loadgen import run_closed_loop, synthetic_images
 from repro.serving.router import LeastOutstandingRouter
@@ -169,6 +172,104 @@ class TestFrameRules:
             injector.stop()
 
 
+class RecordingController:
+    """The cluster surface an injector fires through, as a call log."""
+
+    def __init__(self, ids=("w0", "w1")):
+        self.ids = list(ids)
+        self.calls = []
+
+    def worker_ids(self):
+        return list(self.ids)
+
+    def kill(self, worker_id):
+        self.calls.append(("kill", worker_id))
+
+    def stall(self, worker_id, seconds):
+        self.calls.append(("stall", worker_id, seconds))
+
+
+class TestInjectorTicks:
+    """The injector owns no thread: faults fire only from ``tick(now)``,
+    on the clock :meth:`FaultInjector.start` was given."""
+
+    def start(self, rules, clock):
+        injector = FaultPlan(rules, seed=0).injector()
+        controller = RecordingController()
+        injector.start(controller, clock=clock)
+        return injector, controller
+
+    def test_scheduled_rule_fires_on_the_first_tick_at_or_after_its_time(self):
+        clock = FakeClock(100.0)
+        injector, controller = self.start(
+            [FaultRule(kind="crash", at_s=0.5, target_index=1),
+             FaultRule(kind="stall", at_s=1.0, duration_s=0.3)], clock)
+        assert injector.tick(clock()) == pytest.approx(100.5)
+        assert injector.tick(100.4999) == pytest.approx(100.5)
+        assert controller.calls == []
+        clock.advance(0.5)  # exactly the crash's time
+        assert injector.tick(clock()) == pytest.approx(101.0)
+        assert controller.calls == [("kill", "w1")]
+        clock.advance(0.7)  # past the stall's time
+        assert injector.tick(clock()) is None
+        assert controller.calls == [("kill", "w1"), ("stall", "w0", 0.3)]
+        crash, stall = injector.events()
+        assert (crash.kind, crash.target) == ("crash", "w1")
+        assert crash.at_s == pytest.approx(0.5)
+        assert (stall.kind, stall.at_s) == ("stall", pytest.approx(1.2))
+
+    def test_partition_window_runs_on_the_tick_clock(self):
+        clock = FakeClock(5.0)
+        injector, _ = self.start(
+            [FaultRule(kind="partition", at_s=0.2, duration_s=0.3)], clock)
+        clock.advance(0.2)
+        assert injector.tick(clock()) is None
+        assert injector.filter_send("w0", ("stop",)) == []
+        assert injector.filter_inbound(("hb", "w0", 1.0)) == []
+        assert injector.filter_send("w1", ("stop",)) == [(0.0, ("stop",))]
+        clock.advance(0.3)
+        assert not injector.partitioned("w0")
+
+    def test_delayed_frame_is_delivered_on_the_tick_at_its_due_time(self):
+        class Endpoint:
+            worker_id = "w0"
+
+            def __init__(self):
+                self.sent = []
+
+            def send(self, message):
+                self.sent.append(message)
+
+        clock = FakeClock(10.0)
+        injector, _ = self.start(
+            [FaultRule(kind="delay", duration_s=100.0, probability=1.0,
+                       delay_s=0.05)], clock)
+        inner = Endpoint()
+        injector.wrap_endpoint(inner).send(("reqs", []))
+        due = injector.tick(clock())
+        assert due == pytest.approx(10.05)
+        assert injector.tick(due - 1e-9) == due
+        assert inner.sent == []
+        assert injector.tick(due) is None
+        assert inner.sent == [("reqs", [])]
+
+    def test_nothing_fires_before_start_or_after_stop(self):
+        rules = [FaultRule(kind="crash", at_s=0.0),
+                 FaultRule(kind="stall", at_s=0.1, duration_s=0.1)]
+        injector = FaultPlan(rules, seed=0).injector()
+        late = []
+        injector.schedule_delivery(0.0, lambda: late.append("frame"))
+        assert injector.tick(1e12) is None  # not started
+        assert late == [] and injector.events() == []
+        clock = FakeClock(0.0)
+        controller = RecordingController()
+        injector.start(controller, clock=clock)
+        injector.stop()
+        assert injector.tick(1e12) is None
+        assert controller.calls == [] and late == []
+        assert injector.events() == []
+
+
 # --------------------------------------------------------------------------
 # Slow-worker quarantine (router health layer)
 # --------------------------------------------------------------------------
@@ -301,6 +402,42 @@ class TestDeadlines:
     def test_deadline_error_is_a_timeout(self):
         assert issubclass(DeadlineExceededError, TimeoutError)
 
+    def test_close_from_a_deadline_callback_finishes(self):
+        """A done-callback runs on the thread that resolved its future —
+        for an expired deadline, the control thread.  ``close()`` called
+        there must not join its own thread, and must still unlink the
+        store's segments."""
+        cluster = make_cluster(workers=1)
+        segments = [handle.shm_name
+                    for handle in cluster.store.handles().values()]
+        outcome = []
+        closed = threading.Event()
+
+        def close_cluster(_future):
+            try:
+                cluster.close()
+                outcome.append(threading.current_thread().name)
+            except BaseException as exc:  # surfaced by the asserts below
+                outcome.append(exc)
+            finally:
+                closed.set()
+
+        try:
+            (worker,) = cluster._workers.values()
+            worker.endpoint.send(("stall", 1.0))  # FIFO: ahead of the request
+            image = synthetic_images((8, 8, 3), 1, seed=2)[0]
+            future = cluster.submit("MicroCNN", image, timeout=0.2)
+            future.add_done_callback(close_cluster)
+            assert closed.wait(WAIT_S)
+            assert outcome == ["cluster-control"]
+            with pytest.raises(DeadlineExceededError):
+                future.result(timeout=0)
+            for name in segments:
+                assert not os.path.exists(f"/dev/shm/{name}")
+        finally:
+            cluster.close()
+            cluster.store.close()  # idempotent; frees what a failed close left
+
 
 # --------------------------------------------------------------------------
 # Retry and hedging
@@ -367,6 +504,29 @@ class TestRetryAndHedging:
             stats = cluster.router.stats()
             assert stats.outstanding == 0  # every attempt's slot came back
             assert stats.dispatched == stats.completed
+
+
+# --------------------------------------------------------------------------
+# Router counters: the shed count is client-visible sheds only
+# --------------------------------------------------------------------------
+class TestRouterCounters:
+    def test_crash_requeue_with_no_worker_left_is_not_a_shed(self):
+        """Requests that lose their only worker fail with
+        ``WorkerCrashError``; no client was shed, so the router's shed
+        count (the autoscaler's grow signal) must not move."""
+        with make_cluster(workers=1, max_respawns=0) as cluster:
+            (worker,) = cluster._workers.values()
+            worker.endpoint.send(("stall", 1.0))  # FIFO: ahead of the requests
+            images = synthetic_images((8, 8, 3), 8, seed=12)
+            futures = [cluster.submit("MicroCNN", image, block=False)
+                       for image in images]
+            worker.endpoint.kill()
+            for future in futures:
+                with pytest.raises(WorkerCrashError):
+                    future.result(timeout=WAIT_S)
+            report = cluster.cluster_report()
+        assert report.shed == 0
+        assert report.router.shed == report.shed
 
 
 # --------------------------------------------------------------------------
@@ -487,6 +647,7 @@ class TestLedgerStress:
         assert report.retries + report.hedges >= 1
         assert stats.outstanding == 0
         assert stats.dispatched == stats.completed
+        assert stats.shed == report.shed
 
 
 # --------------------------------------------------------------------------
@@ -495,7 +656,9 @@ class TestLedgerStress:
 def chaos_run(plan, workers, requests, seed, deadline_s=None, **kwargs):
     """Poisson arrivals at 150 req/s with non-blocking admission through
     a fault-injected cluster (retries and quarantine on): the load result,
-    the faults that fired, and whether completed rows match the baseline."""
+    the faults that fired, and whether completed rows match the baseline.
+    Every run also checks that the router counted exactly the
+    client-visible sheds."""
     images = synthetic_images((8, 8, 3), requests, seed=seed)
     offsets = poisson_offsets(np.random.default_rng(seed), 150.0, requests)
     with make_cluster(workers=workers, retry=RetryPolicy(),
@@ -503,6 +666,8 @@ def chaos_run(plan, workers, requests, seed, deadline_s=None, **kwargs):
                       **kwargs) as cluster:
         result = drive(cluster, "MicroCNN", images, offsets, block=False,
                        deadline_s=deadline_s)
+        report = cluster.cluster_report()
+        assert report.router.shed == report.shed == result.shed
         return (result, tuple(cluster.fault_events),
                 matches_baseline(cluster, result, images))
 
